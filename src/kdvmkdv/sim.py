@@ -54,6 +54,8 @@ class SimConfig:
             raise ValueError("periods must be a positive integer")
         if self.dt <= 0.0 or self.T <= 0.0:
             raise ValueError("dt and T must be positive")
+        if round(self.T / self.dt) < 1:
+            raise ValueError("T=%g is shorter than half of dt=%g: no time step to take" % (self.T, self.dt))
 
     @property
     def length(self) -> float:
@@ -144,13 +146,8 @@ class _Stepper:
         f = self.cfg.f
         if self.unit_f:
             return dt / 2.0, dt
-        if hasattr(f, "integral_h_step"):
-            d1 = f.integral_h_step(t, t + dt / 2.0)
-            d2 = d1 + f.integral_h_step(t + dt / 2.0, t + dt)
-        else:
-            d1 = f.integral_h(t, t + dt / 2.0)
-            d2 = d1 + f.integral_h(t + dt / 2.0, t + dt)
-        return d1, d2
+        d1 = f.integral_h_step(t, t + dt / 2.0)
+        return d1, d1 + f.integral_h_step(t + dt / 2.0, t + dt)
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """-ik * FFT(a*u^2/2 + b*u^3/3), dealiased by zero padding."""

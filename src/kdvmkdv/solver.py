@@ -7,8 +7,10 @@ The n=1 system is solved by
 
 giving four families from the two independent sign choices.  Realness needs
 b*d > 0 and m > 0.  Back-substitution is carried out exactly in the ring
-extended by the formal square roots sqrtm = sqrt(m) and sqrtq = sqrt(3d/(2b))
-(exponent-parity bookkeeping, denominators cleared by powers of b), so the
+extended by the formal square roots sqrtm = sqrt(m), sqrtq = sqrt(3d/(2b)) and
+the formal inverse binv = 1/b: one substitution of the closed forms, then one
+monomial-wise reduction by sqrtm^2 -> m, sqrtq^2 -> (3/2)*d*binv and
+b*binv -> 1 (rational parameters are substituted into the result), so the
 verdict "all seven equations reduce to the zero polynomial" carries no
 floating-point tolerance.  An independent multi-start least-squares Newton
 solver confirms the closed forms are the only real roots of the system.
@@ -25,8 +27,9 @@ import numpy as np
 from .ansatz import AlgebraicSystem, PdeParams
 from .symexpr import ParamPoly, register_symbol
 
-SQRT_M = "sqrtm"  # formal square root of m
-SQRT_Q = "sqrtq"  # formal square root of 3d/(2b)
+SQRT_M = register_symbol("sqrtm")  # formal square root of m
+SQRT_Q = register_symbol("sqrtq")  # formal square root of 3d/(2b)
+BINV = register_symbol("binv")  # formal inverse of b
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -106,130 +109,25 @@ def solve_closed_form(p: PdeParams) -> list[SolutionFamily]:
 # ---------------------------------------------------------------------------
 
 
-class _Radical:
-    """Element sum_{ps,pt} P_{ps,pt} * sqrtm^ps * sqrtq^pt / b^bpow with
-    ParamPoly numerators; ps, pt in {0, 1} after reduction."""
+def _reduce(poly: ParamPoly) -> ParamPoly:
+    """Normal form modulo sqrtm^2 -> m, sqrtq^2 -> (3/2)*d*binv, b*binv -> 1.
 
-    __slots__ = ("parts", "bpow", "ctx")
-
-    def __init__(self, parts, bpow, ctx):
-        self.parts = {k: v for k, v in parts.items() if v}
-        self.bpow = bpow
-        self.ctx = ctx
-
-    @classmethod
-    def of(cls, poly: ParamPoly, ctx, bpow: int = 0, parity=(0, 0)) -> "_Radical":
-        return cls({parity: poly}, bpow, ctx)
-
-    def _lifted(self, bpow: int) -> dict:
-        if bpow == self.bpow:
-            return dict(self.parts)
-        scale = self.ctx["b"] ** (bpow - self.bpow)
-        return {k: v * scale for k, v in self.parts.items()}
-
-    def __add__(self, other: "_Radical") -> "_Radical":
-        bpow = max(self.bpow, other.bpow)
-        parts = self._lifted(bpow)
-        for k, v in other._lifted(bpow).items():
-            s = parts.get(k, ParamPoly.zero()) + v
-            if s:
-                parts[k] = s
-            else:
-                parts.pop(k, None)
-        return _Radical(parts, bpow, self.ctx)
-
-    def __mul__(self, other: "_Radical") -> "_Radical":
-        groups: dict[int, dict] = {}
-        for (s1, t1), p1 in self.parts.items():
-            for (s2, t2), p2 in other.parts.items():
-                poly = p1 * p2
-                ps, pt = s1 + s2, t1 + t2
-                extra = 0
-                if ps >= 2:
-                    poly = poly * self.ctx["m_sq"]
-                    ps -= 2
-                if pt >= 2:
-                    poly = poly * self.ctx["q_sq_num"]
-                    extra += self.ctx["q_sq_bpow"]
-                    pt -= 2
-                grp = groups.setdefault(extra, {})
-                s = grp.get((ps, pt), ParamPoly.zero()) + poly
-                if s:
-                    grp[(ps, pt)] = s
-                else:
-                    grp.pop((ps, pt), None)
-        base = self.bpow + other.bpow
-        out = _Radical({}, 0, self.ctx)
-        for extra, parts in groups.items():
-            out = out + _Radical(parts, base + extra, self.ctx)
-        return out
-
-    def __pow__(self, n: int) -> "_Radical":
-        out = _Radical.of(ParamPoly.const(1), self.ctx)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def to_poly(self) -> ParamPoly:
-        """Numerator polynomial with the formal roots as registered symbols;
-        zero iff the radical value is zero (b != 0)."""
-        register_symbol(SQRT_M)
-        register_symbol(SQRT_Q)
-        out = ParamPoly.zero()
-        for (ps, pt), poly in self.parts.items():
-            factor = ParamPoly.const(1)
-            if ps:
-                factor = factor * ParamPoly.symbol(SQRT_M)
-            if pt:
-                factor = factor * ParamPoly.symbol(SQRT_Q)
-            out = out + poly * factor
-        return out
-
-
-def _substitutions(
-    params: dict[str, Fraction] | None,
-    sign_A: int,
-    sign_B: int,
-) -> tuple[dict[str, "_Radical"], dict]:
-    """Closed-form substitution table, symbolic (params=None) or rational."""
-    if params is None:
-        sym = ParamPoly.symbol
-        ctx = {
-            "b": sym("b"),
-            "m_sq": sym("m"),
-            "q_sq_num": ParamPoly.const(Fraction(3, 2)) * sym("d"),
-            "q_sq_bpow": 1,
-        }
-        d_val = _Radical.of(ParamPoly.const(Fraction(-1, 2)) * sym("a"), ctx, bpow=1)
-        v_num = (
-            ParamPoly.const(Fraction(1, 2)) * sym("b") * sym("d") * (ParamPoly.const(1) + sym("m"))
-            - ParamPoly.const(Fraction(1, 4)) * sym("a") ** 2
-        )
-        v_val = _Radical.of(v_num, ctx, bpow=1)
-        subs = {}
-    else:
-        a, b, d, m = params["a"], params["b"], params["d"], params["m"]
-        if b == 0:
-            raise DegenerateEquation("b=0 degenerates to KdV, ansatz invalid")
-        ctx = {
-            "b": ParamPoly.const(b),
-            "m_sq": ParamPoly.const(m),
-            "q_sq_num": ParamPoly.const(Fraction(3, 2) * d / b),
-            "q_sq_bpow": 0,
-        }
-        d_val = _Radical.of(ParamPoly.const(-a / (2 * b)), ctx)
-        v_val = _Radical.of(ParamPoly.const((2 * b * d * (1 + m) - a * a) / (4 * b)), ctx)
-        subs = {
-            "a": _Radical.of(ParamPoly.const(a), ctx),
-            "b": _Radical.of(ParamPoly.const(b), ctx),
-            "d": _Radical.of(ParamPoly.const(d), ctx),
-            "m": _Radical.of(ParamPoly.const(m), ctx),
-        }
-    subs["A"] = _Radical.of(ParamPoly.const(sign_A), ctx, parity=(1, 1))
-    subs["B"] = _Radical.of(ParamPoly.const(sign_B), ctx, parity=(0, 1))
-    subs["D"] = d_val
-    subs["v"] = v_val
-    return subs, ctx
+    The leading monomials sqrtm^2, sqrtq^2 and b*binv are pairwise coprime,
+    so the three rules form a Groebner basis: the normal form is unique, and
+    it is zero exactly when poly vanishes in the extended ring."""
+    out = ParamPoly.zero()
+    for mono, coef in poly.terms.items():
+        powers = dict(mono)
+        km, powers[SQRT_M] = divmod(powers.get(SQRT_M, 0), 2)
+        kq, powers[SQRT_Q] = divmod(powers.get(SQRT_Q, 0), 2)
+        powers["m"] = powers.get("m", 0) + km
+        powers["d"] = powers.get("d", 0) + kq
+        powers[BINV] = powers.get(BINV, 0) + kq
+        cancel = min(powers.get("b", 0), powers[BINV])
+        powers["b"] = powers.get("b", 0) - cancel
+        powers[BINV] -= cancel
+        out = out + ParamPoly.monomial(coef * Fraction(3, 2) ** kq, **powers)
+    return out
 
 
 def back_substitute_exact(
@@ -241,32 +139,31 @@ def back_substitute_exact(
 ) -> list[ParamPoly]:
     """Substitute the closed forms into every equation, exactly.
 
-    With params=None the substitution stays fully symbolic in a, b, d, m; with
-    a rational params dict those four are substituted as well.  The returned
-    residual polynomials are scaled by positive powers of b (harmless for the
-    zero test) and may mention the formal roots sqrtm, sqrtq; a correct family
-    reduces every equation to the zero polynomial.  perturb adds exact offsets
-    to chosen closed-form values, e.g. {"v": Fraction(1, 10)}.
+    The residuals are reduced to normal form in a, b, d, m, binv = 1/b and the
+    formal roots sqrtm, sqrtq; with a rational params dict, the numbers for
+    a, b, d, m and binv are then substituted into that normal form, which
+    leaves it the normal form of the rational case.  A correct
+    family reduces every equation to the zero polynomial.  perturb adds exact
+    offsets to chosen closed-form values of A, B, D, v, e.g. {"v": Fraction(1, 10)}.
     """
-    subs, ctx = _substitutions(params, sign_A, sign_B)
-    if perturb:
-        for name, delta in perturb.items():
-            if name not in subs:
-                raise KeyError("cannot perturb unknown symbol %r" % (name,))
-            subs[name] = subs[name] + _Radical.of(ParamPoly.const(Fraction(delta)), ctx)
-    residuals = []
-    for eq in system.equations:
-        acc = _Radical.of(ParamPoly.zero(), ctx)
-        for mono, coef in eq.terms.items():
-            term = _Radical.of(ParamPoly.const(coef), ctx)
-            for s, e in mono:
-                if s in subs:
-                    term = term * subs[s] ** e
-                else:
-                    term = term * _Radical.of(ParamPoly.symbol(s) ** e, ctx)
-            acc = acc + term
-        residuals.append(acc.to_poly())
-    return residuals
+    if params is not None and params["b"] == 0:
+        raise DegenerateEquation("b=0 degenerates to KdV, ansatz invalid")
+    a, b, d, m, binv, sqrtm, sqrtq = map(ParamPoly.symbol, ("a", "b", "d", "m", BINV, SQRT_M, SQRT_Q))
+    values = {
+        "A": sign_A * sqrtm * sqrtq,
+        "B": sign_B * sqrtq,
+        "D": Fraction(-1, 2) * a * binv,
+        "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv,
+    }
+    for name, delta in (perturb or {}).items():
+        if name not in values:
+            raise KeyError("cannot perturb unknown symbol %r" % (name,))
+        values[name] = values[name] + Fraction(delta)
+    residuals = [_reduce(eq.substitute(values)) for eq in system.equations]
+    if params is None:
+        return residuals
+    numbers = {**params, BINV: 1 / params["b"]}
+    return [r.substitute(numbers) for r in residuals]
 
 
 def residuals_numeric(family: SolutionFamily, system: AlgebraicSystem) -> list[float]:

@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from . import elliptic
 from .solver import SolutionFamily
@@ -38,8 +36,39 @@ class CoefficientSingularity(ValueError):
     """The time coefficient f(t) vanishes on the requested interval."""
 
 
+def _quad(fn, t0: float, t1: float) -> float:
+    from scipy.integrate import quad  # scipy loads only when a quadrature is needed
+
+    val, _ = quad(fn, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return val
+
+
+class Coefficient:
+    """A time coefficient f(t) with h = 1/f.  Subclasses give value(t); the
+    integrals of h default to quadrature, and kinds with closed forms
+    override them."""
+
+    def _check(self, t0: float, t1: float) -> None:
+        """Raise CoefficientSingularity if f vanishes on [t0, t1]."""
+
+    def integral_h(self, t0: float, t1: float) -> float:
+        self._check(t0, t1)
+        return _quad(lambda s: 1.0 / self.value(s), t0, t1)
+
+    def integral_h_step(self, t0: float, t1: float) -> float:
+        """Integral of h over one short time step, by 5-point Gauss-Legendre."""
+        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        ts = mid + half * _GL5_NODES
+        return float(half * np.sum(_GL5_WEIGHTS / self.value(ts)))
+
+    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
+        """An antiderivative of e^s*h(s) at t; without a closed form it is the
+        integral from t_ref."""
+        return _quad(lambda s: math.exp(s) / self.value(s), t_ref, t)
+
+
 @dataclass(frozen=True)
-class UnitCoefficient:
+class UnitCoefficient(Coefficient):
     """f(t) = 1 (constant-coefficient equation)."""
 
     def value(self, t):
@@ -48,13 +77,15 @@ class UnitCoefficient:
     def integral_h(self, t0: float, t1: float) -> float:
         return t1 - t0
 
-    def exp_kernel_antiderivative(self, t: float) -> float:
+    integral_h_step = integral_h
+
+    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
         # antiderivative of e^s * h(s) = e^s
         return math.exp(t)
 
 
 @dataclass(frozen=True)
-class ExponentialCoefficient:
+class ExponentialCoefficient(Coefficient):
     """f(t) = exp(rate * t)."""
 
     rate: float
@@ -68,7 +99,9 @@ class ExponentialCoefficient:
             return t1 - t0
         return (math.exp(-r * t0) - math.exp(-r * t1)) / r
 
-    def exp_kernel_antiderivative(self, t: float) -> float:
+    integral_h_step = integral_h
+
+    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
         # antiderivative of e^((1-rate)*s)
         c = 1.0 - self.rate
         if c == 0.0:
@@ -77,7 +110,7 @@ class ExponentialCoefficient:
 
 
 @dataclass(frozen=True)
-class PolynomialCoefficient:
+class PolynomialCoefficient(Coefficient):
     """f(t) = c0 + c1*t + c2*t^2 + ..."""
 
     coeffs: tuple[float, ...]
@@ -97,56 +130,36 @@ class PolynomialCoefficient:
         if len(self.coeffs) == 1 and self.coeffs[0] == 0.0:
             raise CoefficientSingularity("coefficient singularity: f is identically zero")
 
-    def integral_h(self, t0: float, t1: float) -> float:
-        self._check(t0, t1)
-        val, _ = quad(lambda s: 1.0 / self.value(s), t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return val
-
-    def exp_kernel_antiderivative(self, t: float) -> float:
-        raise NotImplementedError  # no closed antiderivative; callers integrate
-
-    def integral_h_step(self, t0: float, t1: float) -> float:
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        ts = mid + half * _GL5_NODES
-        return float(half * np.sum(_GL5_WEIGHTS / self.value(ts)))
-
 
 @dataclass(frozen=True)
-class TabulatedCoefficient:
-    """f(t) sampled at (times, values), monotone-cubic interpolated."""
+class TabulatedCoefficient(Coefficient):
+    """f(t) sampled at (times, values), monotone-cubic interpolated.  Times
+    outside the table are refused; a slack of 1e-12 relative to the knots
+    admits the rounding of t + dt at a run's last step."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
 
-    def _spline(self) -> Callable:
+    @cached_property
+    def _spline(self):
+        from scipy.interpolate import PchipInterpolator
+
         return PchipInterpolator(np.asarray(self.times), np.asarray(self.values))
 
     def value(self, t):
-        out = self._spline()(t)
+        lo, hi = self.times[0], self.times[-1]
+        slack = 1e-12 * max(abs(lo), abs(hi))
+        t_min, t_max = (np.min(t), np.max(t)) if np.ndim(t) else (t, t)
+        if t_min < lo - slack or t_max > hi + slack:
+            bad = t_min if t_min < lo - slack else t_max
+            raise ValueError("t=%g is outside the table of f, which covers [%g, %g]" % (bad, lo, hi))
+        out = self._spline(t)
         return out if np.ndim(t) else float(out)
 
     def _check(self, t0: float, t1: float):
-        ts = np.linspace(min(t0, t1), max(t0, t1), 257)
-        if np.any(np.abs(self._spline()(ts)) < 1e-14) or np.any(np.diff(np.sign(self._spline()(ts))) != 0):
+        fs = self.value(np.linspace(min(t0, t1), max(t0, t1), 257))
+        if np.any(np.abs(fs) < 1e-14) or np.any(np.diff(np.sign(fs)) != 0):
             raise CoefficientSingularity("coefficient singularity: tabulated f vanishes in range")
-
-    def integral_h(self, t0: float, t1: float) -> float:
-        self._check(t0, t1)
-        spline = self._spline()
-        val, _ = quad(lambda s: 1.0 / float(spline(s)), t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-        return val
-
-    def exp_kernel_antiderivative(self, t: float) -> float:
-        raise NotImplementedError
-
-    def integral_h_step(self, t0: float, t1: float) -> float:
-        spline = self._spline()
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        ts = mid + half * _GL5_NODES
-        return float(half * np.sum(_GL5_WEIGHTS / spline(ts)))
-
-
-Coefficient = UnitCoefficient | ExponentialCoefficient | PolynomialCoefficient | TabulatedCoefficient
 
 
 def parse_coefficient(spec: str) -> Coefficient:
@@ -220,13 +233,7 @@ def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
         return law.C * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else law.C
     if np.ndim(t):
         return np.array([velocity_paper_form(law, float(tt)) for tt in np.asarray(t, dtype=float)])
-    try:
-        F = law.f.exp_kernel_antiderivative(t)
-    except NotImplementedError:
-        spec_f = law.f
-        val, _ = quad(lambda s: math.exp(s) / spec_f.value(s), law.t_ref, t,
-                      epsabs=1e-12, epsrel=1e-12, limit=200)
-        F = val
+    F = law.f.exp_kernel_antiderivative(t, law.t_ref)
     return law.C * math.exp(-t) * (F + law.v0)
 
 

@@ -1,8 +1,12 @@
 """Tests for the command-line interface: subcommands, exit codes, golden
 output, config precedence, and output determinism."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import kdvmkdv
 from kdvmkdv.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -12,6 +16,15 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported only by the calls that integrate or interpolate."""
+    src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, kdvmkdv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDerive:
@@ -161,6 +174,32 @@ class TestSimulate:
         )
         assert code == 4
         assert "CFL" in err or "non-finite" in err
+
+    def test_final_time_below_one_step_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "simulate", "--T", "1e-5", "--outdir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error:") and "no time step" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_time_outside_the_table_is_usage_error(self, capsys, tmp_path):
+        # t0 = t_ref = 1, so the run would need f up to t = 1.5
+        code, _, err = run_cli(
+            capsys, "simulate", "--f", "tab:0:1,1:2", "--T", "0.5", "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error:") and "table" in err
+        code, _, err = run_cli(capsys, "verify", "--timedep", "--f", "tab:0:1,1:2")
+        assert code == 2
+        assert "table" in err
+
+    def test_run_ending_on_the_last_knot_is_accepted(self, capsys, tmp_path):
+        # with dt = 2e-3 the last substep time 1 + 64*dt + dt is one ulp past 1.13
+        code, out, _ = run_cli(
+            capsys, "simulate", "--f", "tab:0.5:1,1.13:1.2", "--N", "64", "--dt", "2e-3",
+            "--T", "0.13", "--outdir", str(tmp_path),
+        )
+        assert code == 0
+        assert "status = ok" in out
 
 
 class TestSweep:

@@ -46,6 +46,12 @@ class TestConfig:
             cfg.length
         assert SimConfig(p=PdeParams(0, 1, 1, 1.0), N=128, window_length=60.0).length == 60.0
 
+    def test_final_time_shorter_than_half_a_step_is_refused(self):
+        p = PdeParams(0, 1, 1, 0.5)
+        with pytest.raises(ValueError, match="no time step"):
+            SimConfig(p=p, dt=1e-4, T=1e-5)
+        assert SimConfig(p=p, dt=1e-4, T=6e-5).T == 6e-5  # rounds to one step
+
 
 class TestInit:
     def test_constant_data_is_pure_mode_zero(self, cnoidal):

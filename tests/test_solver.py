@@ -2,14 +2,20 @@
 independent numeric root search."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvmkdv.ansatz import PdeParams, derive_system
 from kdvmkdv.solver import (
+    BINV,
     SIGN_PAIRS,
+    SQRT_M,
+    SQRT_Q,
     DegenerateEquation,
     NoRealSolution,
     back_substitute_exact,
@@ -118,6 +124,35 @@ class TestBackSubstituteExact:
         params = {"a": Fraction(0), "b": Fraction(1), "d": Fraction(1), "m": Fraction(1, 2)}
         residuals = back_substitute_exact(system, params=params)
         assert all(r.is_zero for r in residuals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.fractions(-3, 3, max_denominator=8),
+        b=st.fractions(1, 4, max_denominator=8),
+        b_sign=st.sampled_from((1, -1)),
+        d=st.fractions(1, 4, max_denominator=8),
+        m=st.fractions(Fraction(1, 8), 1, max_denominator=8),
+        signs=st.sampled_from(SIGN_PAIRS),
+        name=st.sampled_from(("A", "B", "D", "v")),
+        delta=st.fractions(-2, 2, max_denominator=8).filter(bool),
+    )
+    def test_residuals_agree_with_float_substitution(self, system, a, b, b_sign, d, m, signs, name, delta):
+        """Oracle: the exact residuals of a perturbed family, evaluated at the
+        numeric roots, equal the float residuals of the same family."""
+        params = {"a": a, "b": b_sign * b, "d": b_sign * d, "m": m}
+        roots = {
+            SQRT_M: math.sqrt(m),
+            SQRT_Q: math.sqrt(1.5 * float(d / b)),
+            BINV: 1.0 / float(params["b"]),
+            **{k: float(v) for k, v in params.items()},
+        }
+        fam = solve_closed_form(PdeParams(**params))[SIGN_PAIRS.index(signs)]
+        fam = replace(fam, **{name: getattr(fam, name) + float(delta)})
+        want = residuals_numeric(fam, system)
+        for exact in (params, None):
+            got = back_substitute_exact(system, exact, *signs, perturb={name: delta})
+            for r, w in zip(got, want):
+                assert r.eval(roots) == pytest.approx(w, rel=1e-9, abs=1e-9)
 
     def test_numeric_fallback_for_irrational_parameters(self, system):
         p = PdeParams(a=math.sqrt(2), b=1.0, d=math.pi / 3.0, m=0.7)

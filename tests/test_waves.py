@@ -10,10 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from kdvmkdv import elliptic, waves
+from kdvmkdv import elliptic, sim, waves
 from kdvmkdv.ansatz import PdeParams
 from kdvmkdv.solver import solve_closed_form
 from kdvmkdv.waves import (
+    Coefficient,
     CoefficientSingularity,
     ExponentialCoefficient,
     PolynomialCoefficient,
@@ -200,11 +201,70 @@ class TestCoefficientDescriptors:
         res = constraint_residual(law, np.linspace(1.0, 4.0, 10))
         assert np.max(np.abs(res)) < 1e-6
 
+    def test_tabulated_refuses_times_outside_its_table(self):
+        tab = parse_coefficient("tab:0:1,1:2")
+        assert tab.value(1.0) == 2.0
+        for bad in (5.0, -0.5, np.array([0.5, 1.5])):
+            with pytest.raises(ValueError, match="table"):
+                tab.value(bad)
+        with pytest.raises(ValueError, match="table"):
+            tab.integral_h(0.5, 2.0)
+        law = VelocityLaw.time_dependent(0.75, tab, v0=0.1, t_ref=0.5)
+        with pytest.raises(ValueError, match="table"):
+            velocity_at(law, 5.0)
+
     def test_for_family_dispatch(self, cnoidal_family):
         fam = cnoidal_family
         assert VelocityLaw.for_family(fam).kind == "constant"
         law = VelocityLaw.for_family(fam, ExponentialCoefficient(1.0))
         assert law.kind == "time-dependent" and law.v0 == fam.v
+
+
+COEFFICIENT_KINDS = {
+    "unit": UnitCoefficient(),
+    "exp": ExponentialCoefficient(0.7),
+    "poly": PolynomialCoefficient((1.0, 0.2, 0.05)),
+    "tab": TabulatedCoefficient((0.5, 1.2, 2.0, 4.0), (1.0, 1.4, 0.9, 1.3)),
+}
+
+
+class TestCoefficientProtocol:
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+    def test_step_integral_matches_integral(self, kind):
+        f = COEFFICIENT_KINDS[kind]
+        assert f.integral_h_step(1.0, 1.001) == pytest.approx(f.integral_h(1.0, 1.001), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["unit", "exp"])
+    def test_closed_forms_match_the_shared_quadrature(self, kind):
+        f = COEFFICIENT_KINDS[kind]
+        assert f.integral_h(1.0, 3.0) == pytest.approx(Coefficient.integral_h(f, 1.0, 3.0), rel=1e-12)
+        closed = f.exp_kernel_antiderivative(3.0, 1.0) - f.exp_kernel_antiderivative(1.0, 1.0)
+        assert closed == pytest.approx(Coefficient.exp_kernel_antiderivative(f, 3.0, 1.0), rel=1e-12)
+
+    def test_tabulated_spline_is_built_once(self, monkeypatch):
+        import scipy.interpolate
+
+        builds = []
+
+        class CountingPchip(scipy.interpolate.PchipInterpolator):
+            def __init__(self, *args, **kwargs):
+                builds.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", CountingPchip)
+        tab = TabulatedCoefficient((0.5, 1.2, 2.0, 4.0), (1.0, 1.4, 0.9, 1.3))
+        p = PdeParams(0, 1, 1, 0.5)
+        fam = solve_closed_form(p)[0]
+        law = VelocityLaw.for_family(fam, tab)
+        velocity_at(law, 1.5)
+        cfg = sim.SimConfig(p=p, N=64, dt=1e-3, T=0.01, f=tab, t0=1.0)
+        stepper = sim._Stepper(cfg)
+        state = sim.init_from_family(cfg, fam, law)
+        uhat, t = state.uhat, cfg.t0
+        for i in range(10):
+            uhat = stepper.advance(uhat, t)
+            t = cfg.t0 + (i + 1) * cfg.dt
+        assert len(builds) == 1
 
 
 class TestTables:
