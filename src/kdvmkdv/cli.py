@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -22,6 +21,7 @@ import numpy as np
 from . import sim, waves
 from .ansatz import PdeParams, derive_system
 from .solver import (
+    PERTURBABLE,
     SIGN_PAIRS,
     DegenerateEquation,
     NoRealSolution,
@@ -166,9 +166,14 @@ def _parse_perturb(spec: str) -> dict[str, Fraction]:
     for piece in spec.split(","):
         name, _, delta = piece.partition("=")
         val = _exact_or_none(delta)
+        name = name.strip()
         if not name or val is None:
             raise argparse.ArgumentTypeError("bad perturbation %r (expected name=+delta)" % (piece,))
-        out[name.strip()] = val
+        if name not in PERTURBABLE:
+            raise argparse.ArgumentTypeError(
+                "unknown perturbation name %r (expected one of %s)" % (name, ", ".join(PERTURBABLE))
+            )
+        out[name] = val
     return out
 
 
@@ -355,25 +360,21 @@ def cmd_sweep(args) -> int:
         print("error: empty sweep value list", file=sys.stderr)
         return EXIT_USAGE
 
-    def one(value: str) -> tuple[str, int, list[str]]:
+    worst = EXIT_OK
+    for value in values:
         sub_args = argparse.Namespace(**vars(args))
         setattr(sub_args, args.sweep_param.replace("-", "_"), value)
         params = _params_from(sub_args, filecfg)
         try:
             code, lines = _run_simulation(params, sub_args, filecfg)
         except (NoRealSolution, DegenerateEquation) as exc:
-            return value, EXIT_NO_SOLUTION, ["error: %s" % (exc,)]
+            code, lines = EXIT_NO_SOLUTION, ["error: %s" % (exc,)]
         except (sim.SimulationBlowUp, sim.StabilityError) as exc:
-            return value, EXIT_NUMERICAL, ["error: %s" % (exc,)]
-        return value, code, lines
-
-    worst = EXIT_OK
-    with ThreadPoolExecutor(max_workers=min(4, len(values))) as pool:
-        for value, code, lines in pool.map(one, values):
-            print("--- %s = %s ---" % (args.sweep_param, value))
-            for line in lines:
-                print(line)
-            worst = max(worst, code)
+            code, lines = EXIT_NUMERICAL, ["error: %s" % (exc,)]
+        print("--- %s = %s ---" % (args.sweep_param, value))
+        for line in lines:
+            print(line)
+        worst = max(worst, code)
     return worst
 
 

@@ -6,9 +6,10 @@ profile is an exact steady translator of the semi-discrete system up to
 spectral tail error.  Time stepping is an integrating-factor (Lawson) RK4:
 the dispersive term rotates exactly in spectral space, the nonlinear flux is
 evaluated pseudo-spectrally with zero-padding dealiasing (factor 2, exact for
-the cubic term).  A time coefficient f(t) multiplies u_t; the scheme then
-scales the right-hand side by h(t) = 1/f(t) at the substep times, with the
-integrating factor driven by the accumulated pseudo-time integral of h.
+the cubic term).  The stepper carries the real-FFT half spectrum of u; states
+hold the full spectrum.  A time coefficient f(t) multiplies u_t; the scheme
+then scales the right-hand side by h(t) = 1/f(t) at the substep times, with
+the integrating factor driven by the accumulated pseudo-time integral of h.
 """
 
 from __future__ import annotations
@@ -102,36 +103,27 @@ def _wavenumbers(N: int, L: float) -> np.ndarray:
     return k
 
 
-def _pad_spectrum(uhat: np.ndarray) -> np.ndarray:
-    N = uhat.size
-    half = N // 2
-    out = np.zeros(2 * N, dtype=complex)
-    out[:half] = uhat[:half]
-    out[-(half - 1):] = uhat[-(half - 1):]
-    out[half] = 0.5 * uhat[half]
-    out[2 * N - half] = 0.5 * uhat[half]
-    return out
-
-
-def _truncate_spectrum(fhat: np.ndarray, N: int) -> np.ndarray:
-    half = N // 2
-    out = np.zeros(N, dtype=complex)
-    out[:half] = fhat[:half]
-    out[-(half - 1):] = fhat[-(half - 1):]
-    # Nyquist content is annihilated by the odd-derivative wavenumber
-    return out
+def _full_spectrum(vh: np.ndarray) -> np.ndarray:
+    """Full FFT coefficients of a real field from its real-FFT half spectrum."""
+    M = vh.size - 1
+    return np.concatenate([vh, np.conj(vh[M - 1 : 0 : -1])])
 
 
 class _Stepper:
-    """Precomputed operators for one configuration."""
+    """Precomputed operators for one configuration, acting on the real-FFT
+    half spectrum (modes 0..N/2)."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.L = cfg.length
         a, b, d, _ = cfg.p.as_floats()
-        self.a, self.b, self.d = a, b, d
-        self.k = _wavenumbers(cfg.N, self.L)
+        self.a2, self.b3 = a / 2.0, b / 3.0
+        M = cfg.N // 2
+        self.k = _wavenumbers(cfg.N, self.L)[: M + 1]
         self.lin = 1j * d * self.k**3  # from -d*u_xxx
+        # zero padding splits the Nyquist mode evenly between +N/2 and -N/2
+        self.split = np.ones(M + 1)
+        self.split[M] = 0.5
         self.unit_f = isinstance(cfg.f, UnitCoefficient)
         if self.unit_f:
             half = np.exp(self.lin * cfg.dt / 2.0)
@@ -149,20 +141,22 @@ class _Stepper:
         d1 = f.integral_h_step(t, t + dt / 2.0)
         return d1, d1 + f.integral_h_step(t + dt / 2.0, t + dt)
 
-    def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        """-ik * FFT(a*u^2/2 + b*u^3/3), dealiased by zero padding."""
-        N = uhat.size
-        if self.cfg.dealias:
-            up = np.fft.ifft(_pad_spectrum(uhat)).real * 2.0
-            flux = self.a * up**2 / 2.0 + self.b * up**3 / 3.0
-            fhat = _truncate_spectrum(np.fft.fft(flux), N) * 0.5
-        else:
-            u = np.fft.ifft(uhat).real
-            flux = self.a * u**2 / 2.0 + self.b * u**3 / 3.0
-            fhat = np.fft.fft(flux)
-        return -1j * self.k * fhat
+    def nonlinear(self, vh: np.ndarray) -> np.ndarray:
+        """-ik * RFFT(a*u^2/2 + b*u^3/3), dealiased by zero padding.
 
-    def advance(self, uhat: np.ndarray, t: float) -> np.ndarray:
+        The flux is formed by products only: a power of a negative float
+        takes NumPy's slow path.
+        """
+        N = self.cfg.N
+        if self.cfg.dealias:
+            u = np.fft.irfft(vh * self.split, n=2 * N) * 2.0
+            fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))[: N // 2 + 1] * 0.5
+        else:
+            u = np.fft.irfft(vh, n=N)
+            fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))
+        return -1j * self.k * fh
+
+    def advance(self, vh: np.ndarray, t: float) -> np.ndarray:
         dt = self.cfg.dt
         if self.unit_f:
             E1, E2, E3 = self._const_ops
@@ -175,14 +169,14 @@ class _Stepper:
             h1 = self._h(t)
             h2 = self._h(t + dt / 2.0)
             h3 = self._h(t + dt)
-        g1 = h1 * self.nonlinear(uhat)
-        u2 = E1 * (uhat + (dt / 2.0) * g1)
+        g1 = h1 * self.nonlinear(vh)
+        u2 = E1 * (vh + (dt / 2.0) * g1)
         g2 = h2 * self.nonlinear(u2)
-        u3 = E1 * uhat + (dt / 2.0) * g2
+        u3 = E1 * vh + (dt / 2.0) * g2
         g3 = h2 * self.nonlinear(u3)
-        u4 = E2 * uhat + dt * E3 * g3
+        u4 = E2 * vh + dt * E3 * g3
         g4 = h3 * self.nonlinear(u4)
-        out = E2 * uhat + (dt / 6.0) * (E2 * g1 + 2.0 * E3 * (g2 + g3) + g4)
+        out = E2 * vh + (dt / 6.0) * (E2 * g1 + 2.0 * E3 * (g2 + g3) + g4)
         if not np.all(np.isfinite(out)):
             raise SimulationBlowUp("non-finite spectral coefficients at t=%.6g" % (t + dt,))
         return out
@@ -227,8 +221,8 @@ def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | Non
 def step(state: SimState, cfg: SimConfig) -> SimState:
     """Advance one time step (pure: returns a new state)."""
     stepper = _Stepper(cfg)
-    uhat = stepper.advance(state.uhat, state.t)
-    return SimState.from_spectrum(state.t + cfg.dt, uhat, stepper.L)
+    vh = stepper.advance(state.uhat[: cfg.N // 2 + 1], state.t)
+    return SimState.from_spectrum(state.t + cfg.dt, _full_spectrum(vh), stepper.L)
 
 
 def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
@@ -248,12 +242,12 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
             )
     stride = max(1, n_steps // max(1, snapshots - 1))
     states = [state0]
-    uhat, t = state0.uhat, state0.t
+    vh, t = state0.uhat[: cfg.N // 2 + 1], state0.t
     for i in range(1, n_steps + 1):
-        uhat = stepper.advance(uhat, t)
+        vh = stepper.advance(vh, t)
         t = state0.t + i * cfg.dt
         if i % stride == 0 or i == n_steps:
-            states.append(SimState.from_spectrum(t, uhat, stepper.L))
+            states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
     return states
 
 

@@ -32,6 +32,7 @@ SQRT_Q = register_symbol("sqrtq")  # formal square root of 3d/(2b)
 BINV = register_symbol("binv")  # formal inverse of b
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_exact can offset
 
 NEWTON_MAX_STEPS = 200
 NEWTON_RESIDUAL_ACCEPT = 1e-10

@@ -173,6 +173,8 @@ def parse_coefficient(spec: str) -> Coefficient:
         return PolynomialCoefficient(coeffs=tuple(float(c) for c in rest.split(",")))
     if kind == "tab":
         pairs = [p.split(":") for p in rest.split(",")]
+        if any(len(p) != 2 for p in pairs):
+            raise ValueError("tabulated coefficient %r: each entry must be a t:f pair" % (spec,))
         return TabulatedCoefficient(
             times=tuple(float(p[0]) for p in pairs), values=tuple(float(p[1]) for p in pairs)
         )

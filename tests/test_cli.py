@@ -102,6 +102,12 @@ class TestVerify:
         assert "FAIL" in out
         assert "sn*dn" in out and "sn*cn" in out
 
+    def test_perturbing_an_unknown_name_is_usage_error(self, capsys):
+        for spec in ("a=+1", "v=+0.1,x=1"):
+            code, out, err = run_cli(capsys, "verify", "--perturb", spec)
+            assert code == 2
+            assert "unknown" in err and out == ""
+
     def test_timedep_reports_both_forms(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--timedep", "--f", "exp:1")
         assert code == 0
@@ -191,6 +197,13 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "verify", "--timedep", "--f", "tab:0:1,1:2")
         assert code == 2
         assert "table" in err
+
+    def test_table_entry_without_a_value_is_usage_error(self, capsys, tmp_path):
+        for spec in ("tab:1", "tab:0:1,2", "tab:0:1:2,1:2"):
+            code, _, err = run_cli(capsys, "simulate", "--f", spec, "--outdir", str(tmp_path))
+            assert code == 2
+            assert err.startswith("error:") and "t:f" in err
+        assert not list(tmp_path.iterdir())
 
     def test_run_ending_on_the_last_knot_is_accepted(self, capsys, tmp_path):
         # with dt = 2e-3 the last substep time 1 + 64*dt + dt is one ulp past 1.13

@@ -144,6 +144,47 @@ class TestStep:
         with pytest.raises(StabilityError, match="CFL"):
             run(cfg, init_from_family(cfg, fam))
 
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("sign", ["mixed", "negative"])
+    def test_nonlinear_matches_zero_padded_complex_fft(self, dealias, sign):
+        a, b = 0.7, -1.3
+        cfg = SimConfig(p=PdeParams(a, b, -1.0, 0.5), N=128, dealias=dealias)
+        rng = np.random.default_rng(7)
+        u = rng.standard_normal(cfg.N) if sign == "mixed" else -0.5 - rng.random(cfg.N)
+        uhat = np.fft.fft(u)
+        N, M = cfg.N, cfg.N // 2
+        k = sim._wavenumbers(N, cfg.length)
+        if dealias:
+            padded = np.zeros(2 * N, dtype=complex)
+            padded[:M] = uhat[:M]
+            padded[-(M - 1):] = uhat[-(M - 1):]
+            padded[M] = padded[2 * N - M] = 0.5 * uhat[M]
+            up = np.fft.ifft(padded).real * 2.0
+            flux_hat = np.fft.fft(a * up**2 / 2.0 + b * up**3 / 3.0)
+            fhat = np.zeros(N, dtype=complex)
+            fhat[:M] = flux_hat[:M]
+            fhat[-(M - 1):] = flux_hat[-(M - 1):]
+            fhat *= 0.5
+        else:
+            fhat = np.fft.fft(a * u**2 / 2.0 + b * u**3 / 3.0)
+        expected = (-1j * k * fhat)[: M + 1]
+        got = sim._Stepper(cfg).nonlinear(uhat[: M + 1])
+        assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+
+    def test_mirrored_wave_runs_as_exact_negative(self):
+        # u solves (a, b, d) exactly when -u solves (-a, b, d); the mirror
+        # family flips D and the signs of A and B
+        p, q = PdeParams(0.8, 1.0, 1.0, 0.6), PdeParams(-0.8, 1.0, 1.0, 0.6)
+        fam = solve_closed_form(p)[0]
+        mirror = solve_closed_form(q)[3]
+        assert (mirror.A, mirror.B, mirror.D) == (-fam.A, -fam.B, -fam.D)
+        fields = []
+        for params, family in ((p, fam), (q, mirror)):
+            cfg = SimConfig(p=params, N=128, dt=1e-3, T=0.05)
+            fields.append(run(cfg, init_from_family(cfg, family), snapshots=2)[-1].field())
+        assert np.min(fields[0]) < 0.0 < np.max(fields[0])
+        assert np.max(np.abs(fields[0] + fields[1])) < 1e-13
+
     def test_dealias_toggle_still_accurate(self, cnoidal):
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=128, dt=5e-4, T=0.1, dealias=False)
