@@ -256,7 +256,7 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     lines: list[str] = []
     p = params.floats
     N = int(_opt(args, filecfg, "N", 256, int))
-    dt = float(_opt(args, filecfg, "dt", 1e-4))
+    dt = _opt(args, filecfg, "dt", None)  # none given: the step is error-controlled
     T = float(_opt(args, filecfg, "T", 1.0))
     periods = int(_opt(args, filecfg, "periods", 1, int))
     window = _opt(args, filecfg, "window-length", None)
@@ -277,12 +277,14 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         law = waves.VelocityLaw.constant(fam.v)
 
     cfg = sim.SimConfig(
-        p=p, N=N, dt=dt, T=T, periods=periods, f=f, t0=t0,
+        p=p, N=N, T=T, periods=periods, f=f, t0=t0,
         window_length=float(window) if window is not None else None,
+        **({"adaptive": True} if dt is None else {"dt": float(dt)}),
     )
     state0 = sim.init_from_family(cfg, fam, law)
-    report = sim.stability_report(cfg, state0.field())
     states = sim.run(cfg, state0)
+    # controlled runs report the stability numbers of their largest step
+    report = sim.stability_report(replace(cfg, dt=states.dt_max) if cfg.adaptive else cfg, state0.field())
     dm, dq = sim.conservation_drift(states)
     ts, ps = sim.track_positions(states, cfg)
 
@@ -321,6 +323,8 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         "fit_residual = %s" % (_fmt(fit_resid),),
         "mass_drift = %s" % (_fmt(dm),),
         "quad_drift = %s" % (_fmt(dq),),
+        "steps = %d" % (states.steps,),
+        "rejected_steps = %d" % (states.rejected_steps,),
         "advective_cfl = %s" % (_fmt(report["advective_cfl"]),),
         "linear_rotation = %s" % (_fmt(report["linear_rotation"]),),
         "status = %s" % ("ok" if ok else "velocity-or-drift-out-of-bounds",),

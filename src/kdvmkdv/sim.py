@@ -6,10 +6,14 @@ profile is an exact steady translator of the semi-discrete system up to
 spectral tail error.  Time stepping is an integrating-factor (Lawson) RK4:
 the dispersive term rotates exactly in spectral space, the nonlinear flux is
 evaluated pseudo-spectrally with zero-padding dealiasing (factor 2, exact for
-the cubic term).  The stepper carries the real-FFT half spectrum of u; states
-hold the full spectrum.  A time coefficient f(t) multiplies u_t; the scheme
-then scales the right-hand side by h(t) = 1/f(t) at the substep times, with
-the integrating factor driven by the accumulated pseudo-time integral of h.
+the cubic term).  Each step also yields an embedded third-order estimate of
+its local error at no extra flux evaluation (the last stage is the next
+step's first); controlled runs choose the step from it, fixed-step runs stop
+when it reveals an instability.  The stepper carries the real-FFT half
+spectrum of u; states hold the full spectrum.  A time coefficient f(t)
+multiplies u_t; the scheme then scales the right-hand side by h(t) = 1/f(t)
+at the substep times, with the integrating factor driven by the accumulated
+pseudo-time integral of h.
 """
 
 from __future__ import annotations
@@ -26,6 +30,24 @@ from .solver import SolutionFamily
 from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
+# Error control.  A step's estimate is the relative 2-norm of the gap between
+# the RK4 result and its embedded third-order companion; per unit time it is
+# held below RTOL in controlled runs.  RTOL is set by stability, not accuracy:
+# the Lawson step goes unstable over long runs when its dispersive rotation is
+# large, and once the growing modes show in the estimate the controller can
+# only hold the error per unit time at RTOL.  At 2e-8 the (0,1,1,0.5) wave at
+# N=256 reaches that regime before T=10.
+RTOL = 1e-8
+# Weight of the top quarter of the spectrum in the estimate.  A resolved wave
+# has no content there, so error there is the onset of that instability; the
+# weight lets the estimate see it while it is still 1e-3 of the tolerance.
+NOISE_WEIGHT = 1e3
+SAFETY = 0.9
+MAX_GROWTH, MIN_SHRINK = 5.0, 0.2  # bounds on the step ratio between steps
+MIN_STEP = 1e-12  # controlled steps below MIN_STEP * T count as a failure
+# Fixed-step estimate per unit time that flags an unstable step: stable runs
+# stay below 1e-6, growing ones pass 1e-5 long before they overflow.
+ESTIMATE_LIMIT = 1e-5
 
 
 class SimulationBlowUp(RuntimeError):
@@ -47,6 +69,7 @@ class SimConfig:
     f: Coefficient = field(default_factory=UnitCoefficient)
     t0: float = 0.0
     window_length: float | None = None  # explicit domain for windowed m=1 runs
+    adaptive: bool = False  # choose each step by error control; dt is then the first trial step
 
     def __post_init__(self):
         if self.N < 64 or self.N & (self.N - 1):
@@ -124,22 +147,27 @@ class _Stepper:
         # zero padding splits the Nyquist mode evenly between +N/2 and -N/2
         self.split = np.ones(M + 1)
         self.split[M] = 0.5
+        self.err_weight = np.ones(M + 1)
+        self.err_weight[3 * M // 4 :] = NOISE_WEIGHT
         self.unit_f = isinstance(cfg.f, UnitCoefficient)
-        if self.unit_f:
-            half = np.exp(self.lin * cfg.dt / 2.0)
-            full = np.exp(self.lin * cfg.dt)
-            self._const_ops = (half, full, half)
+        self._const_ops = (None, None)  # (dt, operators) of the last unit-f step
 
     def _h(self, t: float) -> float:
         return 1.0 / float(self.cfg.f.value(t))
 
-    def _tau_increments(self, t: float, dt: float) -> tuple[float, float]:
-        """(s(t+dt/2)-s(t), s(t+dt)-s(t)) with s' = h."""
-        f = self.cfg.f
+    def _operators(self, t: float, dt: float) -> tuple:
+        """Integrating factors over [t, t+dt/2], [t, t+dt], [t+dt/2, t+dt]
+        and h at t+dt/2, t+dt."""
         if self.unit_f:
-            return dt / 2.0, dt
+            if self._const_ops[0] != dt:
+                half = np.exp(self.lin * dt / 2.0)
+                self._const_ops = (dt, (half, np.exp(self.lin * dt), half, 1.0, 1.0))
+            return self._const_ops[1]
+        f = self.cfg.f  # s(t+dt/2) - s(t) and s(t+dt) - s(t), with s' = h
         d1 = f.integral_h_step(t, t + dt / 2.0)
-        return d1, d1 + f.integral_h_step(t + dt / 2.0, t + dt)
+        d2 = d1 + f.integral_h_step(t + dt / 2.0, t + dt)
+        return (np.exp(self.lin * d1), np.exp(self.lin * d2), np.exp(self.lin * (d2 - d1)),
+                self._h(t + dt / 2.0), self._h(t + dt))
 
     def nonlinear(self, vh: np.ndarray) -> np.ndarray:
         """-ik * RFFT(a*u^2/2 + b*u^3/3), dealiased by zero padding.
@@ -156,20 +184,28 @@ class _Stepper:
             fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))
         return -1j * self.k * fh
 
+    def rhs(self, vh: np.ndarray, t: float) -> np.ndarray:
+        """h(t) * nonlinear(vh): the first stage of a step from (vh, t)."""
+        return self._h(t) * self.nonlinear(vh)
+
     def advance(self, vh: np.ndarray, t: float) -> np.ndarray:
-        dt = self.cfg.dt
-        if self.unit_f:
-            E1, E2, E3 = self._const_ops
-            h1 = h2 = h3 = 1.0
-        else:
-            d1, d2 = self._tau_increments(t, dt)
-            E1 = np.exp(self.lin * d1)
-            E2 = np.exp(self.lin * d2)
-            E3 = np.exp(self.lin * (d2 - d1))
-            h1 = self._h(t)
-            h2 = self._h(t + dt / 2.0)
-            h3 = self._h(t + dt)
-        g1 = h1 * self.nonlinear(vh)
+        """One step of cfg.dt from (vh, t)."""
+        return self.embedded_step(vh, t, self.cfg.dt, self.rhs(vh, t))[0]
+
+    def embedded_step(self, vh: np.ndarray, t: float, dt: float,
+                      g1: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """One Lawson RK4 step of dt from (vh, t) given g1 = rhs(vh, t).
+
+        Returns (out, g5, err): the fourth-order result, g5 = rhs(out, t+dt)
+        (the next step's g1: first same as last), and the relative size
+        |out - out3| / |out| of its difference from the embedded third-order
+        result out3, which weights the stages (1/6, 1/3, 1/3, 0, 1/6) with g5
+        in place of g4, so out - out3 = (dt/6)(g4 - g5) (Balac & Mahe,
+        Comput. Phys. Commun. 184 (2013) 1211); the norm is the 2-norm over
+        the half spectrum, with the top quarter weighted by NOISE_WEIGHT.  A
+        step costs four calls of `nonlinear`.
+        """
+        E1, E2, E3, h2, h3 = self._operators(t, dt)
         u2 = E1 * (vh + (dt / 2.0) * g1)
         g2 = h2 * self.nonlinear(u2)
         u3 = E1 * vh + (dt / 2.0) * g2
@@ -179,16 +215,22 @@ class _Stepper:
         out = E2 * vh + (dt / 6.0) * (E2 * g1 + 2.0 * E3 * (g2 + g3) + g4)
         if not np.all(np.isfinite(out)):
             raise SimulationBlowUp("non-finite spectral coefficients at t=%.6g" % (t + dt,))
-        return out
+        g5 = h3 * self.nonlinear(out)
+        gap, scale = self.err_weight * (g4 - g5), np.vdot(out, out).real
+        err = (dt / 6.0) * float(np.sqrt(np.vdot(gap, gap).real / scale)) if scale > 0.0 else 0.0
+        if not np.isfinite(err):
+            raise SimulationBlowUp("non-finite error estimate at t=%.6g" % (t + dt,))
+        return out, g5, err
 
 
 def stability_report(cfg: SimConfig, u0: np.ndarray) -> dict[str, float]:
-    """Stability numbers recorded at run start.
+    """Stability numbers of the step cfg.dt.
 
-    advective_cfl is the RK4 bound that actually constrains the scheme (the
-    dispersive rotation is integrated exactly by the integrating factor);
-    linear_rotation is the per-step dispersive phase at the largest mode,
-    recorded for reference.
+    advective_cfl is checked against the RK4 bound before a fixed-step run and
+    caps the controlled step; linear_rotation is the per-step dispersive phase
+    at the largest mode, recorded for reference (the integrating factor
+    rotates it exactly, but a large one lets the Lawson step go unstable over
+    a long run, which the per-step error estimate detects).
     """
     a, b, d, _ = cfg.p.as_floats()
     k_max = float(np.max(np.abs(_wavenumbers(cfg.N, cfg.length))))
@@ -225,10 +267,28 @@ def step(state: SimState, cfg: SimConfig) -> SimState:
     return SimState.from_spectrum(state.t + cfg.dt, _full_spectrum(vh), stepper.L)
 
 
+class Trajectory(list):
+    """The snapshot states of a run, with the step counts that produced them."""
+
+    steps = 0           # accepted steps
+    rejected_steps = 0  # controlled mode: trial steps whose estimate exceeded RTOL
+    dt_max = 0.0        # largest accepted step
+
+
 def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
-        check_stability: bool = True) -> list[SimState]:
+        check_stability: bool = True) -> Trajectory:
     """Integrate from state0 over cfg.T, returning ~snapshots states
-    (including the initial and final ones)."""
+    (including the initial and final ones).
+
+    With a fixed step (cfg.adaptive false) the run is refused up front when
+    the advective CFL number exceeds the RK4 bound, and stopped when a step's
+    error estimate per unit time exceeds ESTIMATE_LIMIT, a sign that the
+    Lawson scheme has gone unstable; check_stability=False skips both gates.
+    Controlled runs choose each step so that the estimate per unit time stays
+    below RTOL and land exactly on the snapshot times.
+    """
+    if cfg.adaptive:
+        return _run_controlled(_Stepper(cfg), state0, snapshots)
     n_steps = int(round(cfg.T / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         cfg = replace(cfg, dt=cfg.T / n_steps)
@@ -241,13 +301,63 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
                 % (rep["advective_cfl"], rep["stability_limit"])
             )
     stride = max(1, n_steps // max(1, snapshots - 1))
-    states = [state0]
+    states = Trajectory([state0])
     vh, t = state0.uhat[: cfg.N // 2 + 1], state0.t
+    g = stepper.rhs(vh, t)
     for i in range(1, n_steps + 1):
-        vh = stepper.advance(vh, t)
+        vh, g, err = stepper.embedded_step(vh, t, cfg.dt, g)
+        if check_stability and err > ESTIMATE_LIMIT * cfg.dt:
+            raise StabilityError(
+                "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is unstable "
+                "for this run; reduce dt or let the step be chosen by error control"
+                % (err / cfg.dt, t + cfg.dt, ESTIMATE_LIMIT, cfg.dt)
+            )
         t = state0.t + i * cfg.dt
         if i % stride == 0 or i == n_steps:
             states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
+    states.steps, states.dt_max = n_steps, cfg.dt
+    return states
+
+
+def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Trajectory:
+    """Error-controlled stepping: accept a step when its estimate per unit
+    time is at most RTOL, and propose the next by the third-order rule
+    dt * SAFETY * (RTOL / estimate)^(1/3), capped by the advective CFL bound.
+    Each snapshot interval is planned as equal steps that end on its end
+    time; the plan, and so the unit-f operators, change only when the
+    proposal no longer fits it."""
+    cfg = stepper.cfg
+    rep = stability_report(cfg, state0.field())
+    cap = cfg.dt * rep["stability_limit"] / rep["advective_cfl"] if rep["advective_cfl"] > 0 else cfg.T
+    states = Trajectory([state0])
+    vh, t = state0.uhat[: cfg.N // 2 + 1], state0.t
+    g = stepper.rhs(vh, t)
+    dt = min(cfg.dt, cap)
+    n_int = max(1, snapshots - 1)
+    for j in range(1, n_int + 1):
+        t_end = state0.t + cfg.T * j / n_int
+        left = 0  # steps left in the plan for this interval
+        while t < t_end:
+            need = int(np.ceil((t_end - t) / dt))
+            if need != left:
+                left, h = need, (t_end - t) / need
+            out, g5, err = stepper.embedded_step(vh, t, h, g)
+            ratio = err / (h * RTOL)
+            if ratio <= 1.0:
+                vh, g, t = out, g5, (t_end if left == 1 else t + h)
+                left -= 1
+                states.steps += 1
+                states.dt_max = max(states.dt_max, h)
+            else:
+                states.rejected_steps += 1
+            grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
+            dt = min(cap, h * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
+            if dt < MIN_STEP * cfg.T:
+                raise StabilityError(
+                    "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
+                    % (MIN_STEP * cfg.T, t, err / h)
+                )
+        states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
     return states
 
 
@@ -330,6 +440,7 @@ def config_hash(cfg: SimConfig) -> str:
             cfg.t0,
             cfg.window_length,
         )
+        + (("adaptive",) if cfg.adaptive else ())
     )
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 

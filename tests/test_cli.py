@@ -4,10 +4,17 @@ output, config precedence, and output determinism."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kdvmkdv
+from kdvmkdv import waves
+from kdvmkdv.ansatz import PdeParams
 from kdvmkdv.cli import main
+from kdvmkdv.solver import solve_closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -213,6 +220,55 @@ class TestSimulate:
         )
         assert code == 0
         assert "status = ok" in out
+
+
+class TestStepChoice:
+    @staticmethod
+    def _summary(out: str) -> dict[str, str]:
+        return dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+
+    @pytest.mark.parametrize("dt", ["1e-3", "2e-3"])
+    def test_fixed_step_that_turns_unstable_is_numerical_failure(self, capsys, tmp_path, dt):
+        # both steps pass the advective CFL gate; the Lawson step then goes
+        # unstable (1e-3 drifted out of bounds, 2e-3 overflowed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "simulate", "--N", "256", "--dt", dt, "--T", "10",
+                                   "--outdir", str(tmp_path))
+        assert code == 4
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_default_step_keeps_a_long_run_within_bounds(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "simulate", "--N", "256", "--T", "10", "--outdir", str(tmp_path))
+        assert code == 0
+        assert "status = ok" in out
+        rundir = next(tmp_path.glob("run-*"))
+        x, u = np.loadtxt(rundir / "snapshot-050.csv", delimiter=",", skiprows=1, unpack=True)
+        fam = solve_closed_form(PdeParams(0, 1, 1, 0.5))[0]
+        assert np.max(np.abs(u - waves.evaluate(fam, x, 10.0))) < 1e-9
+
+    def test_controlled_and_fixed_runs_write_separate_directories(self, capsys, tmp_path):
+        base = ["simulate", "--N", "128", "--T", "0.05", "--outdir", str(tmp_path)]
+        cfg = tmp_path / "fixed.cfg"
+        cfg.write_text("dt = 1e-4\n")
+        for extra in ([], ["--dt", "1e-4"], ["--config", str(cfg)]):
+            assert run_cli(capsys, *base, *extra)[0] == 0
+        names = {p.name for p in tmp_path.glob("run-*")}
+        assert len(names) == 2 and "run-7eb48cd2ee84" in names  # fixed-step name kept
+
+    def test_summary_reports_steps_and_the_largest_step(self, capsys, tmp_path):
+        base = ["simulate", "--N", "128", "--T", "0.05", "--outdir", str(tmp_path)]
+        fixed = self._summary(run_cli(capsys, *base, "--dt", "1e-4")[1])
+        ctrl = self._summary(run_cli(capsys, *base)[1])
+        assert (fixed["steps"], fixed["rejected_steps"]) == ("500", "0")
+        steps = int(ctrl["steps"])
+        assert 0 < steps < 500 and int(ctrl["rejected_steps"]) >= 0
+        # the stability numbers scale with the step: the controlled run reports
+        # them at its largest step, at least the mean step T/steps
+        scale = float(ctrl["advective_cfl"]) / float(fixed["advective_cfl"])
+        assert scale == pytest.approx(float(ctrl["linear_rotation"]) / float(fixed["linear_rotation"]))
+        assert scale * 1e-4 >= 0.05 / steps * (1 - 1e-12)
 
 
 class TestSweep:

@@ -193,6 +193,39 @@ class TestStep:
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-6
 
 
+class TestErrorControl:
+    def test_error_estimate_is_fourth_order_in_the_step(self, cnoidal):
+        # one step from the exact profile: the gap to the embedded third-order
+        # result is O(dt^4)
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=128)
+        vh = init_from_family(cfg, fam).uhat[: cfg.N // 2 + 1]
+        stepper = sim._Stepper(cfg)
+        g1 = stepper.rhs(vh, 0.0)
+        coarse, fine = (stepper.embedded_step(vh, 0.0, dt, g1)[2] for dt in (2e-3, 1e-3))
+        assert 12.0 <= coarse / fine <= 20.0
+
+    def test_fixed_run_reuses_the_last_stage(self, cnoidal, monkeypatch):
+        # first same as last: n steps cost 4n + 1 flux evaluations
+        p, fam = cnoidal
+        calls = []
+        nonlinear = sim._Stepper.nonlinear
+        monkeypatch.setattr(sim._Stepper, "nonlinear", lambda self, vh: calls.append(1) or nonlinear(self, vh))
+        cfg = SimConfig(p=p, N=128, dt=1e-3, T=0.02)
+        states = run(cfg, init_from_family(cfg, fam), snapshots=3)
+        assert states.steps == 20
+        assert len(calls) == 4 * 20 + 1
+
+    def test_controlled_run_of_the_criterion_5_wave(self, cnoidal):
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=256, T=1.0, adaptive=True)
+        states = run(cfg, init_from_family(cfg, fam))
+        assert [s.t for s in states] == [j / 50 for j in range(51)]
+        exact = waves.evaluate(fam, cfg.grid(), 1.0)
+        assert np.max(np.abs(states[-1].field() - exact)) < 1e-9
+        assert states.steps < 2500
+
+
 class TestConservation:
     def test_mass_and_quadratic_invariant(self, cnoidal):
         p, fam = cnoidal
