@@ -225,6 +225,28 @@ class TestErrorControl:
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-9
         assert states.steps < 2500
 
+    def test_accuracy_bound_wave_is_not_over_resolved(self):
+        # a steep wave (m=0.79, d=2) whose error, not the CFL cap, sets the
+        # step: a tolerance tighter than its accuracy needs took 2000 steps
+        p = PdeParams(0.5, 1.0, 2.0, 0.79)
+        fam = next(f for f in solve_closed_form(p) if (f.sign_A, f.sign_B) == (-1, 1))
+        cfg = SimConfig(p=p, N=256, T=0.25, adaptive=True)
+        states = run(cfg, init_from_family(cfg, fam))
+        exact = waves.evaluate(fam, cfg.grid(), 0.25)
+        assert np.max(np.abs(states[-1].field() - exact)) < 1e-9 * np.max(np.abs(exact))
+        assert states.steps <= 1000
+
+    def test_controlled_run_backs_off_the_instability_once(self, cnoidal):
+        # the accurate step of the default wave at N=256 turns the Lawson step
+        # unstable after t=2; the controller stays below the step that was
+        # rejected instead of climbing back to it (734 rejections by T=4)
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=256, T=4.0, adaptive=True)
+        states = run(cfg, init_from_family(cfg, fam))
+        exact = waves.evaluate(fam, cfg.grid(), 4.0)
+        assert np.max(np.abs(states[-1].field() - exact)) < 1e-9
+        assert 0 < states.rejected_steps <= 10
+
 
 class TestConservation:
     def test_mass_and_quadratic_invariant(self, cnoidal):
