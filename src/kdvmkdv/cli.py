@@ -295,7 +295,7 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         t_nonzero = ts[1:]
         p_abs = waves.wave_position(law, t0) + ps[1:]
         v_meas = p_abs / t_nonzero
-        v_pred = np.array([waves.velocity_at(law, float(t)) for t in t_nonzero])
+        v_pred = waves.velocity_at(law, t_nonzero)
         vel_err = float(np.max(np.abs(v_meas - v_pred) / np.maximum(np.abs(v_pred), 1e-30)))
         rows = zip(t_nonzero, v_meas, v_pred)
         measured, fit_resid = float(v_meas[-1]), float("nan")
@@ -317,7 +317,7 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     summary = [
         "run = %s" % (rundir.name,),
         "family = %s" % (fam.class_label,),
-        "v_predicted = %s" % (_fmt(fam.v if not timedep else waves.velocity_at(law, float(ts[-1]))),),
+        "v_predicted = %s" % (_fmt(v_pred[-1]),),
         "v_measured = %s" % (_fmt(measured),),
         "velocity_rel_error = %s" % (_fmt(vel_err),),
         "fit_residual = %s" % (_fmt(fit_resid),),

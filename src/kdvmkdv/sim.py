@@ -458,11 +458,8 @@ def write_snapshots(states: list[SimState], cfg: SimConfig, outdir: str | Path) 
     """Write (x, u) tables per snapshot under run-<hash>/; returns the run dir."""
     rundir = Path(outdir) / ("run-%s" % config_hash(cfg))
     rundir.mkdir(parents=True, exist_ok=True)
-    x = cfg.grid()
+    # the grid column is formatted once; each snapshot fills in its u column
+    template = "x,u\n" + "".join("%.17g,%%.17g\n" % (xv,) for xv in cfg.grid())
     for i, s in enumerate(states):
-        u = s.field()
-        lines = ["x,u"]
-        for xv, uv in zip(x, u):
-            lines.append("%.17g,%.17g" % (xv, uv))
-        (rundir / ("snapshot-%03d.csv" % i)).write_text("\n".join(lines) + "\n")
+        (rundir / ("snapshot-%03d.csv" % i)).write_text(template % tuple(s.field().tolist()))
     return rundir

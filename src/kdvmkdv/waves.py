@@ -36,24 +36,109 @@ class CoefficientSingularity(ValueError):
     """The time coefficient f(t) vanishes on the requested interval."""
 
 
-def _quad(fn, t0: float, t1: float) -> float:
-    from scipy.integrate import quad  # scipy loads only when a quadrature is needed
+# Acceptance tolerance of one piece in the cumulative quadrature, a tenth of
+# quad's contract of 1e-12 absolute and relative on each integral, because
+# the whole-against-halves estimate can fall below a piece's error before the
+# rule converges (see _panel_integrals).
+_QUAD_TOL = 1e-13
+# Pieces the quadrature may bisect at once beyond the panels it was given.
+_MAX_BISECTED = 4096
 
-    val, _ = quad(fn, t0, t1, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return val
+
+def _times(t):
+    """An array of times as a float ndarray; a scalar time as it is."""
+    return np.asarray(t, dtype=float) if np.ndim(t) else t
+
+
+def _exp(x):
+    return np.exp(x) if np.ndim(x) else math.exp(x)
+
+
+def _not_converging(where: str) -> CoefficientSingularity:
+    return CoefficientSingularity(
+        "coefficient singularity: the velocity-law quadrature does not converge %s; "
+        "f is too close to zero or too rough there" % (where,)
+    )
+
+
+def _panel_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integral of fn over each panel [a_i, b_i] by adaptive 5-point
+    Gauss-Legendre, with one vectorised fn call per round for all pieces.
+
+    Each round compares the rule on a piece with the sum of the rule on its
+    two halves, and takes the halves when the two differ by at most
+    _QUAD_TOL * max(width / L, integral of |fn| over the piece), L the total
+    width.  Summed over the pieces of any integral that is at most
+    _QUAD_TOL * (1 + integral of |fn|).  The relative term is also the
+    round-off floor: the two estimates cannot agree closer than a few ulps
+    of the integral of |fn|.  Other pieces are bisected for the next round.
+    A non-finite value, a piece too narrow to bisect, or more than
+    _MAX_BISECTED pieces to bisect beyond the panels given raise
+    CoefficientSingularity.
+    """
+    total = np.zeros(a.size)
+    owner = np.arange(a.size)
+    span = float(np.sum(b - a))
+    limit = a.size + _MAX_BISECTED
+    while a.size:
+        if a.size > limit:
+            raise _not_converging("on [%.6g, %.6g]" % (a.min(), b.max()))
+        m = 0.5 * (a + b)
+        lo, hi = np.concatenate((a, a, m)), np.concatenate((b, m, b))
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GL5_NODES
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = fn(nodes.ravel()).reshape(nodes.shape)
+        if not np.all(np.isfinite(y)):
+            raise CoefficientSingularity(
+                "coefficient singularity: the integrand is not finite at t=%.6g" % (nodes[~np.isfinite(y)][0],)
+            )
+        q, q_abs = half * (y @ _GL5_WEIGHTS), half * (np.abs(y) @ _GL5_WEIGHTS)
+        n = a.size
+        halves = q[n:2 * n] + q[2 * n:]
+        tol = _QUAD_TOL * np.maximum((b - a) / span, q_abs[n:2 * n] + q_abs[2 * n:])
+        done = np.abs(q[:n] - halves) <= tol
+        total += np.bincount(owner[done], weights=halves[done], minlength=total.size)
+        a, b, m, owner = a[~done], b[~done], m[~done], owner[~done]
+        narrow = (m <= a) | (m >= b)
+        if np.any(narrow):
+            raise _not_converging("near t=%.6g" % (a[narrow][0],))
+        a, b, owner = np.concatenate((a, m)), np.concatenate((m, b)), np.concatenate((owner, owner))
+    return total
+
+
+def _cumulative_integral(fn, t0, t1, breakpoints=()):
+    """Integral of fn from t0 to t1; t0 and t1 are scalars or arrays that
+    broadcast together.  Every end point and every breakpoint between them
+    bounds a panel, so one cumulative sum over the panels gives all the
+    integrals, and no panel straddles a breakpoint."""
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    ends = np.concatenate((t0.ravel(), t1.ravel()))
+    knots = np.asarray(breakpoints, dtype=float)
+    edges = np.unique(np.concatenate((ends, knots[(knots > ends.min()) & (knots < ends.max())])))
+    cum = np.concatenate(([0.0], np.cumsum(_panel_integrals(fn, edges[:-1], edges[1:]))))
+    out = cum[np.searchsorted(edges, t1)] - cum[np.searchsorted(edges, t0)]
+    return out if out.ndim else float(out)
 
 
 class Coefficient:
     """A time coefficient f(t) with h = 1/f.  Subclasses give value(t); the
-    integrals of h default to quadrature, and kinds with closed forms
-    override them."""
+    integrals of h default to a cumulative quadrature that splits at
+    `breakpoints`, and kinds with closed forms override them.  integral_h
+    and exp_kernel_antiderivative take scalar or array times.  f must be
+    smooth between breakpoints: a jump or kink elsewhere can slip past the
+    quadrature's error estimate."""
 
-    def _check(self, t0: float, t1: float) -> None:
-        """Raise CoefficientSingularity if f vanishes on [t0, t1]."""
+    breakpoints: tuple[float, ...] = ()
 
-    def integral_h(self, t0: float, t1: float) -> float:
+    def _check(self, t0, t1) -> None:
+        """Raise CoefficientSingularity if f vanishes between the least and
+        the greatest of the times t0, t1."""
+
+    def integral_h(self, t0, t1):
+        """Integral of h from t0 to t1, elementwise for arrays."""
         self._check(t0, t1)
-        return _quad(lambda s: 1.0 / self.value(s), t0, t1)
+        return _cumulative_integral(lambda s: 1.0 / self.value(s), t0, t1, self.breakpoints)
 
     def integral_h_step(self, t0: float, t1: float) -> float:
         """Integral of h over one short time step, by 5-point Gauss-Legendre."""
@@ -61,10 +146,11 @@ class Coefficient:
         ts = mid + half * _GL5_NODES
         return float(half * np.sum(_GL5_WEIGHTS / self.value(ts)))
 
-    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
+    def exp_kernel_antiderivative(self, t, t_ref: float):
         """An antiderivative of e^s*h(s) at t; without a closed form it is the
         integral from t_ref."""
-        return _quad(lambda s: math.exp(s) / self.value(s), t_ref, t)
+        self._check(t_ref, t)
+        return _cumulative_integral(lambda s: np.exp(s) / self.value(s), t_ref, t, self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -74,14 +160,14 @@ class UnitCoefficient(Coefficient):
     def value(self, t):
         return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
 
-    def integral_h(self, t0: float, t1: float) -> float:
+    def integral_h(self, t0, t1):
         return t1 - t0
 
     integral_h_step = integral_h
 
-    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
+    def exp_kernel_antiderivative(self, t, t_ref: float):
         # antiderivative of e^s * h(s) = e^s
-        return math.exp(t)
+        return _exp(t)
 
 
 @dataclass(frozen=True)
@@ -91,22 +177,22 @@ class ExponentialCoefficient(Coefficient):
     rate: float
 
     def value(self, t):
-        return np.exp(self.rate * np.asarray(t, dtype=float)) if np.ndim(t) else math.exp(self.rate * t)
+        return _exp(self.rate * _times(t))
 
-    def integral_h(self, t0: float, t1: float) -> float:
+    def integral_h(self, t0, t1):
         r = self.rate
         if r == 0.0:
             return t1 - t0
-        return (math.exp(-r * t0) - math.exp(-r * t1)) / r
+        return (_exp(-r * t0) - _exp(-r * t1)) / r
 
     integral_h_step = integral_h
 
-    def exp_kernel_antiderivative(self, t: float, t_ref: float) -> float:
+    def exp_kernel_antiderivative(self, t, t_ref: float):
         # antiderivative of e^((1-rate)*s)
         c = 1.0 - self.rate
         if c == 0.0:
             return t
-        return math.exp(c * t) / c
+        return _exp(c * t) / c
 
 
 @dataclass(frozen=True)
@@ -120,10 +206,11 @@ class PolynomialCoefficient(Coefficient):
             np.polyval(self.coeffs[::-1], t)
         )
 
-    def _check(self, t0: float, t1: float):
+    def _check(self, t0, t1):
+        lo, hi = min(np.min(t0), np.min(t1)), max(np.max(t0), np.max(t1))
         roots = np.roots(self.coeffs[::-1]) if len(self.coeffs) > 1 else np.array([])
         for r in roots:
-            if abs(r.imag) < 1e-12 and min(t0, t1) - 1e-12 <= r.real <= max(t0, t1) + 1e-12:
+            if abs(r.imag) < 1e-12 and lo - 1e-12 <= r.real <= hi + 1e-12:
                 raise CoefficientSingularity(
                     "coefficient singularity: f vanishes near t=%.6g" % (r.real,)
                 )
@@ -156,8 +243,14 @@ class TabulatedCoefficient(Coefficient):
         out = self._spline(t)
         return out if np.ndim(t) else float(out)
 
-    def _check(self, t0: float, t1: float):
-        fs = self.value(np.linspace(min(t0, t1), max(t0, t1), 257))
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """The knots, where the interpolant's second derivative may jump."""
+        return self.times
+
+    def _check(self, t0, t1):
+        lo, hi = min(np.min(t0), np.min(t1)), max(np.max(t0), np.max(t1))
+        fs = self.value(np.linspace(lo, hi, 257))
         if np.any(np.abs(fs) < 1e-14) or np.any(np.diff(np.sign(fs)) != 0):
             raise CoefficientSingularity("coefficient singularity: tabulated f vanishes in range")
 
@@ -216,9 +309,8 @@ def velocity_at(law: VelocityLaw, t) -> float | np.ndarray:
     """Speed from the defining constraint: v(t) = (t_ref*v0 + C*int_{t_ref}^t h)/t."""
     if law.kind == "constant":
         return law.C * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else law.C
-    if np.ndim(t):
-        return np.array([velocity_at(law, float(tt)) for tt in np.asarray(t, dtype=float)])
-    if t < law.t_ref:
+    t = _times(t)
+    if np.min(t) < law.t_ref:
         raise ValueError("time-dependent law defined for t >= t_ref=%g" % (law.t_ref,))
     acc = law.f.integral_h(law.t_ref, t)
     return (law.t_ref * law.v0 + law.C * acc) / t
@@ -233,10 +325,9 @@ def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
     """
     if law.kind == "constant":
         return law.C * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else law.C
-    if np.ndim(t):
-        return np.array([velocity_paper_form(law, float(tt)) for tt in np.asarray(t, dtype=float)])
+    t = _times(t)
     F = law.f.exp_kernel_antiderivative(t, law.t_ref)
-    return law.C * math.exp(-t) * (F + law.v0)
+    return law.C * _exp(-t) * (F + law.v0)
 
 
 def wave_position(law: VelocityLaw, t: float) -> float:
@@ -248,18 +339,19 @@ def wave_position(law: VelocityLaw, t: float) -> float:
 
 def constraint_residual(law: VelocityLaw, t, form: str = "constraint", dt: float = 1e-5):
     """|v + t*dv/dt - C*h(t)| with dv/dt by central differences; 'form' picks
-    the quadrature law ('constraint') or the published formula ('paper')."""
+    the quadrature law ('constraint') or the published formula ('paper').
+    The speed at every stencil point comes from one call."""
     vf = velocity_at if form == "constraint" else velocity_paper_form
-    if np.ndim(t):
-        return np.array([constraint_residual(law, float(tt), form, dt) for tt in np.asarray(t)])
-    v = vf(law, t)
-    if law.kind == "constant" or t - dt >= law.t_ref:
-        dv = (vf(law, t + dt) - vf(law, t - dt)) / (2.0 * dt)
-    else:
-        # second-order forward stencil keeps the evaluation inside [t_ref, inf)
-        dv = (-3.0 * v + 4.0 * vf(law, t + dt) - vf(law, t + 2.0 * dt)) / (2.0 * dt)
+    t = _times(t)
+    central = (law.kind == "constant") | (t - dt >= law.t_ref)
+    # the second-order forward stencil t, t+dt, t+2dt keeps the evaluation
+    # inside [t_ref, inf); its third point takes the place of t-dt
+    other = np.where(central, t - dt, t + 2.0 * dt)
+    v_other, v, v_next = vf(law, np.stack(np.broadcast_arrays(other, t, t + dt)))
+    dv = np.where(central, (v_next - v_other) / (2.0 * dt), (-3.0 * v + 4.0 * v_next - v_other) / (2.0 * dt))
     h = 1.0 / law.f.value(t)
-    return v + t * dv - law.C * h
+    res = v + t * dv - law.C * h
+    return res if np.ndim(t) else float(res)
 
 
 def evaluate(fam: SolutionFamily, x, t: float, law: VelocityLaw | None = None):
@@ -310,9 +402,8 @@ def profile_table(fam: SolutionFamily, xs: np.ndarray, t: float,
 
 def velocity_table(law: VelocityLaw, ts: np.ndarray) -> str:
     """(t, v) series for both velocity forms, 17 significant digits."""
+    ts = np.asarray(ts, dtype=float)
     lines = ["t,v_constraint,v_paper"]
-    for t in np.asarray(ts, dtype=float):
-        lines.append(
-            "%.17g,%.17g,%.17g" % (t, velocity_at(law, float(t)), velocity_paper_form(law, float(t)))
-        )
+    for row in zip(ts, velocity_at(law, ts), velocity_paper_form(law, ts)):
+        lines.append("%.17g,%.17g,%.17g" % row)
     return "\n".join(lines) + "\n"

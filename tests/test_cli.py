@@ -4,6 +4,7 @@ output, config precedence, and output determinism."""
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -32,6 +33,19 @@ def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, kdvmkdv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_timedep_verify_leaves_scipy_integrate_unloaded():
+    """The velocity law integrates without scipy.integrate."""
+    src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, kdvmkdv.cli\n"
+        "rc = kdvmkdv.cli.main(['verify', '--timedep', '--f', 'poly:1.2,0.25,0.03'])\n"
+        "print(rc, 'scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
 
 
 class TestDerive:
@@ -120,6 +134,30 @@ class TestVerify:
         assert code == 0
         assert "PASS velocity-constraint" in out
         assert "REPORT velocity-paper-form" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--f", "tab:0.5:0.9,2.25:0.8,4:1.0,6:1.3", "-a=-0.5", "-b=-0.75", "-d=-1", "-m=0.84"],
+        ["--f", "tab:0.5:1.424,2.25:1.566,4:1.8,6:2.18"],
+        ["--f", "tab:0.5:1.00000,1.02:1.44000,2.2:1.07000,3.4:1.49000,4.7:1.59000,6:0.67000",
+         "-a=0.25", "-b=-1", "-d=-1.25", "-m=0.51"],
+    ])
+    def test_timedep_passes_on_kinked_tables(self, capsys, argv):
+        # the quadrature law meets its constraint by construction; a per-time
+        # quadrature that ignores the knots made these FAIL at 1.9e-7 to 2.5e-4
+        code, out, _ = run_cli(capsys, "verify", "--timedep", *argv)
+        assert "PASS velocity-constraint" in out
+        assert code == 0
+
+    def test_timedep_near_zero_coefficient_ends_promptly(self, capsys):
+        # f = 1 - 2t + 1.0001t^2 has its minimum 1e-4 next to t_ref = 1
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--timedep", "--f", "poly:1,-2,1.0001")
+        assert time.perf_counter() - start < 2.0
+        assert code in (1, 4)
+        if code == 4:
+            assert len(err.splitlines()) == 1 and err.startswith("error:")
+        else:
+            assert "FAIL velocity-constraint" in out
 
     def test_show_system(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--show-system")

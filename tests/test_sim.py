@@ -370,3 +370,16 @@ class TestResidualAndOutput:
         assert f1 == sorted(q.name for q in d2.iterdir())
         for name in f1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    def test_snapshot_files_match_a_line_by_line_rendering(self, cnoidal, tmp_path):
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, dt=1e-3, T=0.01)
+        states = run(cfg, init_from_family(cfg, fam), snapshots=4)
+        # magnitudes and signs a wave never takes go through the same template
+        u = np.array([-0.0, 1e-300, -1.5e17, np.pi] + [2.0 / 3.0] * (cfg.N - 4))
+        states[-1] = SimState.from_field(states[-1].t, u, cfg.length)
+        rundir = write_snapshots(states, cfg, tmp_path)
+        x = cfg.grid()
+        for i, s in enumerate(states):
+            lines = ["x,u"] + ["%.17g,%.17g" % (xv, uv) for xv, uv in zip(x, s.field())]
+            assert (rundir / ("snapshot-%03d.csv" % i)).read_text() == "\n".join(lines) + "\n"

@@ -6,6 +6,8 @@ for f = 1 (Int = t - t_ref) and f = e^t (Int = e^{-t_ref} - e^{-t}).
 """
 
 import math
+import time
+from dataclasses import astuple, dataclass
 
 import numpy as np
 import pytest
@@ -282,3 +284,124 @@ class TestTables:
         lines = text.strip().splitlines()
         assert lines[0] == "t,v_constraint,v_paper"
         assert len(lines) == 4
+
+
+# Knots 1.02 to 4.7 of this table lie inside [1, 5], where f kinks; it is the
+# simulated table of the benchmark's timedep seed 1.
+KINKED_TABLE = "tab:0.5:1.00000,1.02:1.44000,2.2:1.07000,3.4:1.49000,4.7:1.59000,6:0.67000"
+SMOOTH_POLY = "poly:1.2,0.25,0.03"
+
+
+def _oracle_integrals(spec: str, ts: np.ndarray):
+    """Int_1^t h and Int_1^t e^s*h for each t in ts, in 30-digit arithmetic
+    between consecutive times and knots: h = 1/f from the descriptor, the
+    table's monotone cubic rebuilt here from scipy's piecewise coefficients."""
+    mpmath = pytest.importorskip("mpmath")
+    from scipy.interpolate import PchipInterpolator
+
+    kind, _, rest = spec.partition(":")
+    if kind == "poly":
+        coeffs = [mpmath.mpf(c) for c in rest.split(",")]
+        knots = []
+
+        def f(s):
+            return mpmath.polyval(coeffs[::-1], s)
+    else:
+        pairs = [p.split(":") for p in rest.split(",")]
+        knots = [float(p[0]) for p in pairs]
+        spline = PchipInterpolator(knots, [float(p[1]) for p in pairs])
+
+        def f(s):
+            i = min(max(int(np.searchsorted(knots, float(s))) - 1, 0), len(knots) - 2)
+            dx = s - mpmath.mpf(knots[i])
+            return mpmath.polyval([mpmath.mpf(float(c)) for c in spline.c[:, i]], dx)
+
+    with mpmath.workdps(30):
+        edges = sorted({1.0, *ts.tolist(), *(k for k in knots if 1.0 < k < ts.max())})
+        acc_h, acc_e, at = mpmath.mpf(0), mpmath.mpf(0), {1.0: (0.0, 0.0)}
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            acc_h += mpmath.quad(lambda s: 1 / f(s), [lo, hi])
+            acc_e += mpmath.quad(lambda s: mpmath.exp(s) / f(s), [lo, hi])
+            at[hi] = (float(acc_h), float(acc_e))
+    return np.array([at[t] for t in ts.tolist()]).T
+
+
+class TestCumulativeQuadrature:
+    """The velocity law integrates h (and e^s*h) for all requested times in one
+    cumulative pass, split at the table's knots."""
+
+    TIMES = np.concatenate((np.linspace(1.0, 5.0, 50), np.linspace(1.0, 5.0, 50)[1:] + 1e-5))
+
+    @pytest.mark.parametrize("spec", [SMOOTH_POLY, KINKED_TABLE])
+    def test_integrals_agree_with_a_30_digit_oracle(self, spec):
+        f = parse_coefficient(spec)
+        int_h, int_e = _oracle_integrals(spec, self.TIMES)
+        assert np.max(np.abs(f.integral_h(1.0, self.TIMES) - int_h)) < 1e-13
+        kernel = f.exp_kernel_antiderivative(self.TIMES, 1.0)
+        assert np.max(np.abs(kernel - int_e) / np.maximum(np.abs(int_e), 1.0)) < 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
+    @pytest.mark.parametrize("form", ["constraint", "paper"])
+    def test_array_call_equals_scalar_calls(self, kind, form):
+        law = VelocityLaw.time_dependent(0.75, COEFFICIENT_KINDS[kind], v0=0.3, t_ref=1.0)
+        vf = velocity_at if form == "constraint" else velocity_paper_form
+        ts = np.linspace(1.0, 3.9, 30)
+        scalar = np.array([vf(law, float(t)) for t in ts])
+        np.testing.assert_allclose(vf(law, ts), scalar, rtol=1e-14, atol=1e-14)
+        res = constraint_residual(law, ts, form=form)
+        np.testing.assert_allclose(res, [constraint_residual(law, float(t), form=form) for t in ts],
+                                   rtol=0, atol=1e-8)
+        assert isinstance(constraint_residual(law, 2.0, form=form), float)
+
+    @pytest.mark.parametrize("spec", [SMOOTH_POLY, KINKED_TABLE])
+    def test_constraint_residual_evaluates_f_in_a_few_calls(self, spec):
+        base = type(parse_coefficient(spec))
+        calls = []
+
+        class Counting(base):
+            def value(self, t):
+                calls.append(np.size(t))
+                return base.value(self, t)
+
+        f = parse_coefficient(spec)
+        counted = Counting(*astuple(f))
+        law = VelocityLaw.time_dependent(0.75, counted, v0=0.3, t_ref=1.0)
+        for form in ("constraint", "paper"):
+            calls.clear()
+            res = constraint_residual(law, np.linspace(1.0, 5.0, 50), form=form)
+            assert len(calls) <= 60
+            assert np.all(np.isfinite(res))
+        # the quadrature law meets its own constraint to round-off
+        assert np.max(np.abs(constraint_residual(law, np.linspace(1.0, 5.0, 50)))) < 1e-9
+
+    @pytest.mark.parametrize("value", [
+        lambda t: 1.0 + 1e-3 * np.sin(1e9 * t),  # too rough: the bisected pieces pass their cap
+        lambda t: np.sqrt(np.abs(t - math.pi)),  # h = |t - pi|^(-1/2): pieces next to pi never converge
+    ], ids=["rough", "cusp"])
+    def test_unresolvable_coefficient_is_refused_within_a_bounded_effort(self, value):
+        @dataclass(frozen=True)
+        class Unresolvable(Coefficient):
+            def value(self, t):
+                return value(np.asarray(t, dtype=float))
+
+        law = VelocityLaw.time_dependent(0.75, Unresolvable(), v0=0.3, t_ref=1.0)
+        start = time.perf_counter()
+        with pytest.raises(CoefficientSingularity, match="does not converge"):
+            velocity_at(law, np.linspace(1.0, 5.0, 50))
+        assert time.perf_counter() - start < 2.0
+
+    def test_non_finite_integrand_is_refused(self):
+        @dataclass(frozen=True)
+        class Pole(Coefficient):
+            """f = t - 2 with no vanishing check: h has a pole inside [1, 3]."""
+
+            def value(self, t):
+                return np.asarray(t, dtype=float) - 2.0
+
+        with pytest.raises(CoefficientSingularity):
+            Pole().integral_h(1.0, 3.0)
+
+    def test_tabulated_breakpoints_are_its_knots(self):
+        tab = parse_coefficient(KINKED_TABLE)
+        assert tab.breakpoints == tab.times
+        assert PolynomialCoefficient((1.0,)).breakpoints == ()
