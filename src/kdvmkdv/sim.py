@@ -10,10 +10,14 @@ the cubic term).  Each step also yields an embedded third-order estimate of
 its local error at no extra flux evaluation (the last stage is the next
 step's first); controlled runs choose the step from it, fixed-step runs stop
 when it reveals an instability.  The stepper carries the real-FFT half
-spectrum of u; states hold the full spectrum.  A time coefficient f(t)
-multiplies u_t; the scheme then scales the right-hand side by h(t) = 1/f(t)
-at the substep times, with the integrating factor driven by the accumulated
-pseudo-time integral of h.
+spectrum of u; states hold the full spectrum.
+
+A time coefficient f(t) multiplying u_t is a change of clock: with h = 1/f,
+f(t)*u_t = -(flux)_x - d*u_xxx is the unit-f equation in the pseudo-time
+tau(t) = t0 + int_{t0}^t h, so u(., t) = U(., tau(t)) for the unit-f solution
+U.  The stepper is therefore autonomous and steps in tau; a run maps its
+snapshot or step times to tau once, up front, and its states record t.
+Step sizes, error estimates and stability numbers are per unit tau.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
 # Error control.  A step's estimate is the relative 2-norm of the gap between
-# the RK4 result and its embedded third-order companion; per unit time it is
-# held below RTOL in controlled runs.  RTOL is set by accuracy: it keeps the
+# the RK4 result and its embedded third-order companion; per unit tau (the
+# pseudo-time of the module docstring, t for unit f) it is held below RTOL in
+# controlled runs.  RTOL is set by accuracy: it keeps the
 # final L-inf error of the perfbench simulate waves (T=0.25) within 5e-10,
 # 20x inside the oracle's bound; each 10x tighter costs 2.15x the steps.
 RTOL = 1e-7
@@ -43,8 +48,8 @@ RTOL = 1e-7
 NOISE_WEIGHT = 1e4
 SAFETY = 0.9
 MAX_GROWTH, MIN_SHRINK = 5.0, 0.2  # bounds on the step ratio between steps
-MIN_STEP = 1e-12  # controlled steps below MIN_STEP * T count as a failure
-# Fixed-step estimate per unit time that flags an unstable step: stable runs
+MIN_STEP = 1e-12  # controlled steps below MIN_STEP times the run's span in tau count as a failure
+# Fixed-step estimate per unit tau that flags an unstable step: stable runs
 # stay below 1e-6, growing ones pass 1e-5 long before they overflow.
 ESTIMATE_LIMIT = 1e-5
 
@@ -151,25 +156,13 @@ class _Stepper:
         self.dx = (-0.5j if cfg.dealias else -1j) * self.k
         self.err_weight = np.ones(M + 1)
         self.err_weight[3 * M // 4 :] = NOISE_WEIGHT
-        self.unit_f = isinstance(cfg.f, UnitCoefficient)
-        self._const_ops = (None, None)  # (dt, operators) of the last unit-f step
+        self._ops = (None, None, None)  # (dt, factor over dt/2, factor over dt) of the last step
 
-    def _h(self, t: float) -> float:
-        return 1.0 / float(self.cfg.f.value(t))
-
-    def _operators(self, t: float, dt: float) -> tuple:
-        """Integrating factors over [t, t+dt/2], [t, t+dt], [t+dt/2, t+dt]
-        and h at t+dt/2, t+dt."""
-        if self.unit_f:
-            if self._const_ops[0] != dt:
-                half = np.exp(self.lin * dt / 2.0)
-                self._const_ops = (dt, (half, np.exp(self.lin * dt), half, 1.0, 1.0))
-            return self._const_ops[1]
-        f = self.cfg.f  # s(t+dt/2) - s(t) and s(t+dt) - s(t), with s' = h
-        d1 = f.integral_h_step(t, t + dt / 2.0)
-        d2 = d1 + f.integral_h_step(t + dt / 2.0, t + dt)
-        return (np.exp(self.lin * d1), np.exp(self.lin * d2), np.exp(self.lin * (d2 - d1)),
-                self._h(t + dt / 2.0), self._h(t + dt))
+    def _operators(self, dt: float) -> tuple:
+        """Integrating factors over a half step and a whole step of dt."""
+        if self._ops[0] != dt:
+            self._ops = (dt, np.exp(self.lin * dt / 2.0), np.exp(self.lin * dt))
+        return self._ops[1:]
 
     def nonlinear(self, vh: np.ndarray) -> np.ndarray:
         """-ik * RFFT(a*u^2/2 + b*u^3/3), dealiased by zero padding.
@@ -186,63 +179,54 @@ class _Stepper:
             fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))
         return self.dx * fh
 
-    def rhs(self, vh: np.ndarray, t: float) -> np.ndarray:
-        """h(t) * nonlinear(vh): the first stage of a step from (vh, t)."""
-        return self._h(t) * self.nonlinear(vh)
-
-    def advance(self, vh: np.ndarray, t: float) -> np.ndarray:
-        """One step of cfg.dt from (vh, t)."""
-        return self.embedded_step(vh, t, self.cfg.dt, self.rhs(vh, t))[0]
-
-    def embedded_step(self, vh: np.ndarray, t: float, dt: float,
+    def embedded_step(self, vh: np.ndarray, dt: float,
                       g1: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """One Lawson RK4 step of dt from (vh, t) given g1 = rhs(vh, t).
+        """One Lawson RK4 step of dt from vh given g1 = nonlinear(vh).
 
-        Returns (out, g5, err): the fourth-order result, g5 = rhs(out, t+dt)
+        Returns (out, g5, err): the fourth-order result, g5 = nonlinear(out)
         (the next step's g1: first same as last), and the relative size
         |out - out3| / |out| of its difference from the embedded third-order
         result out3, which weights the stages (1/6, 1/3, 1/3, 0, 1/6) with g5
         in place of g4, so out - out3 = (dt/6)(g4 - g5) (Balac & Mahe,
         Comput. Phys. Commun. 184 (2013) 1211); the norm is the 2-norm over
         the half spectrum, with the top quarter weighted by NOISE_WEIGHT.  A
-        step costs four calls of `nonlinear`.
+        step costs four calls of `nonlinear`; dt < 0 steps backward.  A
+        non-finite result gives err = inf.
         """
-        E1, E2, E3, h2, h3 = self._operators(t, dt)
+        E1, E2 = self._operators(dt)
         E1vh, E2vh = E1 * vh, E2 * vh
         u2 = E1 * (vh + (dt / 2.0) * g1)
-        g2 = h2 * self.nonlinear(u2)
+        g2 = self.nonlinear(u2)
         u3 = E1vh + (dt / 2.0) * g2
-        g3 = h2 * self.nonlinear(u3)
-        u4 = E2vh + dt * E3 * g3
-        g4 = h3 * self.nonlinear(u4)
-        out = E2vh + (dt / 6.0) * (E2 * g1 + 2.0 * E3 * (g2 + g3) + g4)
+        g3 = self.nonlinear(u3)
+        u4 = E2vh + dt * E1 * g3
+        g4 = self.nonlinear(u4)
+        out = E2vh + (dt / 6.0) * (E2 * g1 + 2.0 * E1 * (g2 + g3) + g4)
         if not np.all(np.isfinite(out)):
-            raise SimulationBlowUp("non-finite spectral coefficients at t=%.6g" % (t + dt,))
-        g5 = h3 * self.nonlinear(out)
+            return out, g1, np.inf
+        g5 = self.nonlinear(out)
         gap, scale = self.err_weight * (g4 - g5), np.vdot(out, out).real
-        err = (dt / 6.0) * float(np.sqrt(np.vdot(gap, gap).real / scale)) if scale > 0.0 else 0.0
-        if not np.isfinite(err):
-            raise SimulationBlowUp("non-finite error estimate at t=%.6g" % (t + dt,))
+        err = (abs(dt) / 6.0) * float(np.sqrt(np.vdot(gap, gap).real / scale)) if scale > 0.0 else 0.0
         return out, g5, err
 
 
 def stability_report(cfg: SimConfig, u0: np.ndarray) -> dict[str, float]:
-    """Stability numbers of the step cfg.dt.
+    """Stability numbers of a step of cfg.dt in the pseudo-time tau, which is
+    the time t itself for unit f.
 
     advective_cfl is checked against the RK4 bound before a fixed-step run and
     caps the controlled step; linear_rotation is the per-step dispersive phase
     at the largest mode, recorded for reference (the integrating factor
     rotates it exactly, but a large one lets the Lawson step go unstable over
-    a long run, which the per-step error estimate detects).
+    a long run, which the per-step error estimate detects).  The stepper
+    steps in tau, so neither number depends on f.
     """
     a, b, d, _ = cfg.p.as_floats()
     k_max = float(np.max(np.abs(_wavenumbers(cfg.N, cfg.length))))
     speed = float(np.max(np.abs(a * u0 + b * u0**2)))
-    ts = np.linspace(cfg.t0, cfg.t0 + cfg.T, 17)
-    h_max = float(np.max(np.abs(1.0 / np.asarray(cfg.f.value(ts), dtype=float))))
     return {
-        "advective_cfl": cfg.dt * k_max * speed * h_max,
-        "linear_rotation": cfg.dt * abs(d) * k_max**3 * h_max,
+        "advective_cfl": cfg.dt * k_max * speed,
+        "linear_rotation": cfg.dt * abs(d) * k_max**3,
         "stability_limit": RK4_IMAG_STABILITY,
     }
 
@@ -263,19 +247,16 @@ def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | Non
     return SimState.from_field(cfg.t0, np.asarray(u0, dtype=float), L)
 
 
-def step(state: SimState, cfg: SimConfig) -> SimState:
-    """Advance one time step (pure: returns a new state)."""
-    stepper = _Stepper(cfg)
-    vh = stepper.advance(state.uhat[: cfg.N // 2 + 1], state.t)
-    return SimState.from_spectrum(state.t + cfg.dt, _full_spectrum(vh), stepper.L)
-
-
 class Trajectory(list):
     """The snapshot states of a run, with the step counts that produced them."""
 
     steps = 0           # accepted steps
     rejected_steps = 0  # controlled mode: trial steps whose estimate exceeded RTOL
-    dt_max = 0.0        # largest accepted step
+    dt_max = 0.0        # largest accepted step, in pseudo-time
+
+
+def _blow_up(t: float) -> SimulationBlowUp:
+    return SimulationBlowUp("non-finite spectral coefficients or error estimate at t=%.6g" % (t,))
 
 
 def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
@@ -283,11 +264,16 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
     """Integrate from state0 over cfg.T, returning ~snapshots states
     (including the initial and final ones).
 
-    With a fixed step (cfg.adaptive false) the run is refused up front when
-    the advective CFL number exceeds the RK4 bound, and stopped when a step's
-    error estimate per unit time exceeds ESTIMATE_LIMIT, a sign that the
-    Lawson scheme has gone unstable; check_stability=False skips both gates.
-    Controlled runs choose each step so that the estimate per unit time stays
+    The stepper steps in the pseudo-time tau (module docstring); the times of
+    the snapshots, or of the steps of a fixed-step run, are mapped to tau in
+    one call of cfg.f.integral_h before the first step.  With a fixed step
+    (cfg.adaptive false) step i spans the pseudo-time of [t_i, t_i + dt],
+    written as dt * (span in tau / span in t) so that a unit-f step is dt
+    exactly.  Such a run is refused up front when the advective CFL number of
+    its largest step exceeds the RK4 bound, and stopped when a step's error
+    estimate per unit tau exceeds ESTIMATE_LIMIT, a sign that the Lawson
+    scheme has gone unstable; check_stability=False skips both gates.
+    Controlled runs choose each step so that the estimate per unit tau stays
     below RTOL and land exactly on the snapshot times.
     """
     if cfg.adaptive:
@@ -296,8 +282,11 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
     if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         cfg = replace(cfg, dt=cfg.T / n_steps)
     stepper = _Stepper(cfg)
+    ts = state0.t + cfg.dt * np.arange(n_steps + 1)
+    dtaus = cfg.dt * (cfg.f.integral_h(ts[:-1], ts[1:]) / np.diff(ts))
+    dt_max = float(np.max(np.abs(dtaus)))
     if check_stability:
-        rep = stability_report(cfg, state0.field())
+        rep = stability_report(replace(cfg, dt=dt_max), state0.field())
         if rep["advective_cfl"] > rep["stability_limit"]:
             raise StabilityError(
                 "advective CFL %.3g exceeds RK4 bound %.3g; reduce dt"
@@ -305,68 +294,80 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
             )
     stride = max(1, n_steps // max(1, snapshots - 1))
     states = Trajectory([state0])
-    vh, t = state0.uhat[: cfg.N // 2 + 1], state0.t
-    g = stepper.rhs(vh, t)
-    for i in range(1, n_steps + 1):
-        vh, g, err = stepper.embedded_step(vh, t, cfg.dt, g)
-        if check_stability and err > ESTIMATE_LIMIT * cfg.dt:
+    vh = state0.uhat[: cfg.N // 2 + 1]
+    g = stepper.nonlinear(vh)
+    for i, (t, dtau) in enumerate(zip(ts[1:].tolist(), dtaus.tolist()), 1):
+        vh, g, err = stepper.embedded_step(vh, dtau, g)
+        if not np.isfinite(err):
+            raise _blow_up(t)
+        if check_stability and err > ESTIMATE_LIMIT * abs(dtau):
             raise StabilityError(
                 "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is unstable "
                 "for this run; reduce dt or let the step be chosen by error control"
-                % (err / cfg.dt, t + cfg.dt, ESTIMATE_LIMIT, cfg.dt)
+                % (err / abs(dtau), t, ESTIMATE_LIMIT, cfg.dt)
             )
-        t = state0.t + i * cfg.dt
         if i % stride == 0 or i == n_steps:
             states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
-    states.steps, states.dt_max = n_steps, cfg.dt
+    states.steps, states.dt_max = n_steps, dt_max
     return states
 
 
 def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Trajectory:
     """Error-controlled stepping: accept a step when its estimate per unit
-    time is at most RTOL, and propose the next by the third-order rule
+    tau is at most RTOL, and propose the next by the third-order rule
     dt * SAFETY * (RTOL / estimate)^(1/3), capped by the advective CFL bound
     and, after a rejection, by the step proposed then.  A steady wave's
     error per step does not shrink later, and growth of the Lawson
     instability only raises it, so a run that met the instability's edge
     stays below it instead of climbing back and being rejected again.  Each
-    snapshot interval is planned as equal steps that end on its end time;
-    the plan, and so the unit-f operators, change only when the proposal no
-    longer fits it."""
+    snapshot interval is planned as equal steps that end on its end
+    pseudo-time; the plan, and so the integrating factors, change only when
+    the proposal no longer fits it.  A negative f runs tau backward."""
     cfg = stepper.cfg
-    rep = stability_report(cfg, state0.field())
-    cap = cfg.dt * rep["stability_limit"] / rep["advective_cfl"] if rep["advective_cfl"] > 0 else cfg.T
-    states = Trajectory([state0])
-    vh, t = state0.uhat[: cfg.N // 2 + 1], state0.t
-    g = stepper.rhs(vh, t)
-    dt = min(cfg.dt, cap)
     n_int = max(1, snapshots - 1)
-    for j in range(1, n_int + 1):
-        t_end = state0.t + cfg.T * j / n_int
+    ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
+    taus = (state0.t + cfg.f.integral_h(state0.t, ts)).tolist()
+    ts = ts.tolist()
+    rep = stability_report(cfg, state0.field())
+    span = abs(taus[-1] - taus[0])
+    cap = cfg.dt * rep["stability_limit"] / rep["advective_cfl"] if rep["advective_cfl"] > 0 else span
+    states = Trajectory([state0])
+    vh, tau = state0.uhat[: cfg.N // 2 + 1], taus[0]
+    g = stepper.nonlinear(vh)
+    dt = min(cfg.dt, cap)
+
+    def t_at(j: int, s: float) -> float:
+        """The time of pseudo-time s in snapshot interval j, interpolated
+        linearly between its ends, for error messages."""
+        return ts[j - 1] + (ts[j] - ts[j - 1]) * (s - taus[j - 1]) / (taus[j] - taus[j - 1])
+
+    for j in range(1, len(ts)):
         left = 0  # steps left in the plan for this interval
-        while t < t_end:
-            need = int(np.ceil((t_end - t) / dt))
+        while tau != taus[j]:
+            need = int(np.ceil(abs(taus[j] - tau) / dt))
             if need != left:
-                left, h = need, (t_end - t) / need
-            out, g5, err = stepper.embedded_step(vh, t, h, g)
-            ratio = err / (h * RTOL)
+                left, h = need, (taus[j] - tau) / need
+            out, g5, err = stepper.embedded_step(vh, h, g)
+            if not np.isfinite(err):
+                raise _blow_up(t_at(j, tau + h))
+            ratio = err / (abs(h) * RTOL)
             if ratio <= 1.0:
-                vh, g, t = out, g5, (t_end if left == 1 else t + h)
+                vh, g, tau = out, g5, (taus[j] if left == 1 else tau + h)
                 left -= 1
                 states.steps += 1
-                states.dt_max = max(states.dt_max, h)
+                states.dt_max = max(states.dt_max, abs(h))
             else:
                 states.rejected_steps += 1
             grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
-            dt = min(cap, h * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
+            dt = min(cap, abs(h) * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
             if ratio > 1.0:
                 cap = dt  # no later step returns to the size that failed
-            if dt < MIN_STEP * cfg.T:
+            if dt < MIN_STEP * span:
                 raise StabilityError(
                     "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
-                    % (MIN_STEP * cfg.T, t, err / h)
+                    % (MIN_STEP * span, t_at(j, tau), err / abs(h))
                 )
-        states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
+        states.append(SimState.from_spectrum(ts[j], _full_spectrum(vh), stepper.L))
     return states
 
 

@@ -140,12 +140,6 @@ class Coefficient:
         self._check(t0, t1)
         return _cumulative_integral(lambda s: 1.0 / self.value(s), t0, t1, self.breakpoints)
 
-    def integral_h_step(self, t0: float, t1: float) -> float:
-        """Integral of h over one short time step, by 5-point Gauss-Legendre."""
-        mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-        ts = mid + half * _GL5_NODES
-        return float(half * np.sum(_GL5_WEIGHTS / self.value(ts)))
-
     def exp_kernel_antiderivative(self, t, t_ref: float):
         """An antiderivative of e^s*h(s) at t; without a closed form it is the
         integral from t_ref."""
@@ -162,8 +156,6 @@ class UnitCoefficient(Coefficient):
 
     def integral_h(self, t0, t1):
         return t1 - t0
-
-    integral_h_step = integral_h
 
     def exp_kernel_antiderivative(self, t, t_ref: float):
         # antiderivative of e^s * h(s) = e^s
@@ -184,8 +176,6 @@ class ExponentialCoefficient(Coefficient):
         if r == 0.0:
             return t1 - t0
         return (_exp(-r * t0) - _exp(-r * t1)) / r
-
-    integral_h_step = integral_h
 
     def exp_kernel_antiderivative(self, t, t_ref: float):
         # antiderivative of e^((1-rate)*s)
@@ -222,7 +212,8 @@ class PolynomialCoefficient(Coefficient):
 class TabulatedCoefficient(Coefficient):
     """f(t) sampled at (times, values), monotone-cubic interpolated.  Times
     outside the table are refused; a slack of 1e-12 relative to the knots
-    admits the rounding of t + dt at a run's last step."""
+    admits the rounding of a run's last step or snapshot time, t0 + n*dt or
+    t0 + T, when it ends on the last knot."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
@@ -388,22 +379,3 @@ def hyperbolic_limit(fam: SolutionFamily) -> SechProfile:
     if float(fam.params.m) != 1.0:
         raise ValueError("hyperbolic limit requires m=1, got m=%r" % (fam.params.m,))
     return SechProfile(amplitude=fam.A + fam.B, speed=fam.v, offset=fam.D)
-
-
-def profile_table(fam: SolutionFamily, xs: np.ndarray, t: float,
-                  law: VelocityLaw | None = None) -> str:
-    """(x, u) series as plot-ready text, 17 significant digits."""
-    us = evaluate(fam, xs, t, law)
-    lines = ["x,u"]
-    for x, u in zip(np.asarray(xs, dtype=float), np.atleast_1d(us)):
-        lines.append("%.17g,%.17g" % (x, u))
-    return "\n".join(lines) + "\n"
-
-
-def velocity_table(law: VelocityLaw, ts: np.ndarray) -> str:
-    """(t, v) series for both velocity forms, 17 significant digits."""
-    ts = np.asarray(ts, dtype=float)
-    lines = ["t,v_constraint,v_paper"]
-    for row in zip(ts, velocity_at(law, ts), velocity_paper_form(law, ts)):
-        lines.append("%.17g,%.17g,%.17g" % row)
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ from kdvmkdv.sim import (
     measure_velocity,
     run,
     spectral_residual,
-    step,
     track_positions,
     write_snapshots,
 )
@@ -121,16 +120,6 @@ class TestStep:
             uh = st.uhat
             assert np.max(np.abs(uh - np.conj(uh[np.r_[0, cfg.N - 1 : 0 : -1]]))) < 1e-9
 
-    def test_single_step_is_pure(self, cnoidal):
-        p, fam = cnoidal
-        cfg = SimConfig(p=p, N=128, dt=1e-3)
-        st = init_from_family(cfg, fam)
-        s1 = step(st, cfg)
-        s2 = step(st, cfg)
-        assert s1.t == s2.t == cfg.dt
-        assert np.array_equal(s1.uhat, s2.uhat)
-        assert not np.array_equal(s1.uhat, st.uhat)
-
     def test_blow_up_detection(self, cnoidal):
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=128, dt=0.3, T=3.0)
@@ -201,8 +190,8 @@ class TestErrorControl:
         cfg = SimConfig(p=p, N=128)
         vh = init_from_family(cfg, fam).uhat[: cfg.N // 2 + 1]
         stepper = sim._Stepper(cfg)
-        g1 = stepper.rhs(vh, 0.0)
-        coarse, fine = (stepper.embedded_step(vh, 0.0, dt, g1)[2] for dt in (2e-3, 1e-3))
+        g1 = stepper.nonlinear(vh)
+        coarse, fine = (stepper.embedded_step(vh, dt, g1)[2] for dt in (2e-3, 1e-3))
         assert 12.0 <= coarse / fine <= 20.0
 
     def test_fixed_run_reuses_the_last_stage(self, cnoidal, monkeypatch):
@@ -246,6 +235,56 @@ class TestErrorControl:
         exact = waves.evaluate(fam, cfg.grid(), 4.0)
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-9
         assert 0 < states.rejected_steps <= 10
+
+
+KINKED_TABLE = "tab:0.5:1.00000,1.02:1.44000,2.2:1.07000,3.4:1.49000,4.7:1.59000,6:0.67000"
+
+
+class TestClock:
+    """f(t)*u_t = -(flux)_x - d*u_xxx is the unit-f equation in the pseudo-time
+    tau(t) = int_{t0}^t 1/f, so a run with f is a unit-f run on tau's clock."""
+
+    def test_controlled_run_evaluates_f_a_fixed_number_of_times(self, cnoidal, monkeypatch):
+        p, fam = cnoidal
+        f = waves.parse_coefficient(KINKED_TABLE)
+        law = waves.VelocityLaw.for_family(fam, f)
+        counts = []
+        for T in (0.5, 2.0):
+            cfg = SimConfig(p=p, N=128, T=T, f=f, t0=1.0, adaptive=True)
+            state0 = init_from_family(cfg, fam, law)
+            calls = []
+            value = type(f).value
+            monkeypatch.setattr(type(f), "value", lambda self, t: calls.append(1) or value(self, t))
+            states = run(cfg, state0)
+            monkeypatch.undo()
+            assert states.steps > 100
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 5
+
+    @pytest.mark.parametrize("spec", ["exp:-0.5", "poly:1.2,0.25,0.03", KINKED_TABLE])
+    def test_run_with_f_is_a_unit_run_to_the_pseudo_time(self, cnoidal, spec):
+        # with one snapshot interval both runs plan the same steps over the
+        # same pseudo-time span, so they agree to rounding, far inside the
+        # 1e-10 error of either run
+        p, fam = cnoidal
+        f = waves.parse_coefficient(spec)
+        cfg = SimConfig(p=p, N=128, T=0.5, f=f, t0=1.0, adaptive=True)
+        state0 = init_from_family(cfg, fam, waves.VelocityLaw.for_family(fam, f))
+        with_f = run(cfg, state0, snapshots=2)
+        tau = f.integral_h(1.0, 1.5)
+        unit = run(SimConfig(p=p, N=128, T=tau, adaptive=True), state0, snapshots=2)
+        assert with_f[-1].t == 1.5
+        assert with_f.steps == unit.steps
+        assert np.max(np.abs(with_f[-1].uhat - unit[-1].uhat)) < 1e-12 * np.max(np.abs(unit[-1].uhat))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_negative_f_runs_the_unit_equation_backward(self, cnoidal, adaptive):
+        # f = -1 gives tau(t) = -t: the wave at t = T is the unit-f wave at -T
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, dt=1e-3, T=0.2, f=waves.parse_coefficient("poly:-1"), adaptive=adaptive)
+        states = run(cfg, SimState.from_field(0.0, waves.evaluate(fam, cfg.grid(), 0.0), cfg.length))
+        assert states[-1].t == pytest.approx(0.2, abs=1e-15)
+        assert np.max(np.abs(states[-1].field() - waves.evaluate(fam, cfg.grid(), -0.2))) < 1e-9
 
 
 class TestConservation:

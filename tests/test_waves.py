@@ -233,8 +233,13 @@ COEFFICIENT_KINDS = {
 class TestCoefficientProtocol:
     @pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
     def test_step_integral_matches_integral(self, kind):
+        # a fixed-step run takes the integrals over all its steps in one call
         f = COEFFICIENT_KINDS[kind]
-        assert f.integral_h_step(1.0, 1.001) == pytest.approx(f.integral_h(1.0, 1.001), rel=1e-12)
+        ts = 1.0 + 1e-3 * np.arange(11)
+        steps = f.integral_h(ts[:-1], ts[1:])
+        assert steps.shape == (10,)
+        for t0, t1, step in zip(ts[:-1], ts[1:], steps):
+            assert step == pytest.approx(f.integral_h(t0, t1), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["unit", "exp"])
     def test_closed_forms_match_the_shared_quadrature(self, kind):
@@ -259,31 +264,11 @@ class TestCoefficientProtocol:
         fam = solve_closed_form(p)[0]
         law = VelocityLaw.for_family(fam, tab)
         velocity_at(law, 1.5)
-        cfg = sim.SimConfig(p=p, N=64, dt=1e-3, T=0.01, f=tab, t0=1.0)
-        stepper = sim._Stepper(cfg)
-        state = sim.init_from_family(cfg, fam, law)
-        vh, t = state.uhat[: cfg.N // 2 + 1], cfg.t0
-        for i in range(10):
-            vh = stepper.advance(vh, t)
-            t = cfg.t0 + (i + 1) * cfg.dt
+        for adaptive in (False, True):
+            cfg = sim.SimConfig(p=p, N=64, dt=1e-3, T=0.01, f=tab, t0=1.0, adaptive=adaptive)
+            states = sim.run(cfg, sim.init_from_family(cfg, fam, law), snapshots=3)
+            assert states.steps >= 3
         assert len(builds) == 1
-
-
-class TestTables:
-    def test_profile_table_format(self, cnoidal_family):
-        text = waves.profile_table(cnoidal_family, np.linspace(-1, 1, 3), 0.0)
-        lines = text.strip().splitlines()
-        assert lines[0] == "x,u"
-        assert len(lines) == 4
-        x, u = lines[1].split(",")
-        assert float(x) == -1.0 and float(u) == pytest.approx(1.5242930627421907)
-
-    def test_velocity_table_format(self):
-        law = VelocityLaw.time_dependent(0.5, UnitCoefficient(), v0=0.5, t_ref=1.0)
-        text = waves.velocity_table(law, np.linspace(1.0, 2.0, 3))
-        lines = text.strip().splitlines()
-        assert lines[0] == "t,v_constraint,v_paper"
-        assert len(lines) == 4
 
 
 # Knots 1.02 to 4.7 of this table lie inside [1, 5], where f kinks; it is the
