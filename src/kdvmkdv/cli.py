@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
 def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     lines: list[str] = []
     p = params.floats
-    N = int(_opt(args, filecfg, "N", 256, int))
+    N = _opt(args, filecfg, "N", None, int)  # none given: chosen from the profile's spectrum
     dt = _opt(args, filecfg, "dt", None)  # none given: the step is error-controlled
     T = float(_opt(args, filecfg, "T", 1.0))
     periods = int(_opt(args, filecfg, "periods", 1, int))
@@ -277,14 +277,18 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         law = waves.VelocityLaw.constant(fam.v)
 
     cfg = sim.SimConfig(
-        p=p, N=N, T=T, periods=periods, f=f, t0=t0,
+        p=p, T=T, periods=periods, f=f, t0=t0,
         window_length=float(window) if window is not None else None,
         **({"adaptive": True} if dt is None else {"dt": float(dt)}),
+        **({} if N is None else {"N": N}),
     )
+    tail = None
+    if N is None:
+        N, tail = sim.choose_N(cfg, fam, law)
+        cfg = replace(cfg, N=N)
     state0 = sim.init_from_family(cfg, fam, law)
     states = sim.run(cfg, state0)
-    # controlled runs report the stability numbers of their largest step
-    report = sim.stability_report(replace(cfg, dt=states.dt_max) if cfg.adaptive else cfg, state0.field())
+    report = sim.stability_report(replace(cfg, dt=states.dt_max), state0.field())
     dm, dq = sim.conservation_drift(states)
     ts, ps = sim.track_positions(states, cfg)
 
@@ -327,8 +331,10 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         "rejected_steps = %d" % (states.rejected_steps,),
         "advective_cfl = %s" % (_fmt(report["advective_cfl"]),),
         "linear_rotation = %s" % (_fmt(report["linear_rotation"]),),
-        "status = %s" % ("ok" if ok else "velocity-or-drift-out-of-bounds",),
     ]
+    if tail is not None:
+        summary += ["N = %d" % (N,), "spectral_tail = %s" % (_fmt(tail),)]
+    summary.append("status = %s" % ("ok" if ok else "velocity-or-drift-out-of-bounds",))
     (rundir / "summary.txt").write_text("\n".join(summary) + "\n")
     lines.extend(summary)
     return (EXIT_OK if ok else EXIT_VERIFY_FAIL), lines

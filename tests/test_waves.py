@@ -325,6 +325,23 @@ class TestCumulativeQuadrature:
         kernel = f.exp_kernel_antiderivative(self.TIMES, 1.0)
         assert np.max(np.abs(kernel - int_e) / np.maximum(np.abs(int_e), 1.0)) < 1e-13
 
+    def test_near_zero_polynomial_is_integrated_to_its_evaluation_error(self):
+        # f = 1 - 2t + 1.0001t^2 dips to 1e-4 at t = 0.9999, where np.polyval
+        # loses up to 2.2e-12 of f to cancellation: no piece there can meet
+        # 1e-13, so the pieces accept f's own evaluation error
+        spec = "poly:1,-2,1.0001"
+        ts = np.linspace(1.0, 5.0, 50)
+        want = _oracle_integrals(spec, ts)[0]
+        assert want[-1] == pytest.approx(155.83, abs=5e-3)
+        got = parse_coefficient(spec).integral_h(1.0, ts)
+        assert np.max(np.abs(got - want)) < 1e-10 * want[-1]
+
+    def test_coefficient_too_close_to_zero_to_evaluate_is_refused(self):
+        # min f = 1e-10: np.polyval gives f to only 2e-5 relative there, and
+        # an integral through it would be off by 8e-6
+        with pytest.raises(CoefficientSingularity, match="too close to zero"):
+            parse_coefficient("poly:1,-2,1.0000000001").integral_h(1.0, 5.0)
+
     @pytest.mark.parametrize("kind", sorted(COEFFICIENT_KINDS))
     @pytest.mark.parametrize("form", ["constraint", "paper"])
     def test_array_call_equals_scalar_calls(self, kind, form):
