@@ -25,10 +25,11 @@ from .solver import (
     SIGN_PAIRS,
     DegenerateEquation,
     NoRealSolution,
-    back_substitute_exact,
+    back_substitute_generic,
     residuals_numeric,
     solve_closed_form,
     solve_numeric,
+    specialize,
 )
 
 EXIT_OK = 0
@@ -186,9 +187,11 @@ def cmd_verify(args) -> int:
     perturb = args.perturb or None
 
     failures = 0
+    # one substitution with formal signs serves the symbolic and exact checks of all four families
+    generic = back_substitute_generic(system, perturb)
     # symbolic identity: the closed forms annihilate the system for any a,b,d,m
     for sa, sb in SIGN_PAIRS:
-        residuals = back_substitute_exact(system, params=None, sign_A=sa, sign_B=sb, perturb=perturb)
+        residuals = specialize(generic, sa, sb)
         bad = [(mono, r) for mono, r in zip(system.monomials, residuals) if not r.is_zero]
         tag = "signs(%+d,%+d)" % (sa, sb)
         if bad:
@@ -208,9 +211,7 @@ def cmd_verify(args) -> int:
     for fam in fams:
         label = "family %s sign_A=%+d sign_B=%+d" % (fam.class_label, fam.sign_A, fam.sign_B)
         if params.exact is not None:
-            residuals = back_substitute_exact(
-                system, params=params.exact, sign_A=fam.sign_A, sign_B=fam.sign_B, perturb=perturb
-            )
+            residuals = specialize(generic, fam.sign_A, fam.sign_B, params.exact)
             bad = [(mono, r) for mono, r in zip(system.monomials, residuals) if not r.is_zero]
             if bad:
                 failures += 1
@@ -285,6 +286,11 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     tail = None
     if N is None:
         N, tail = sim.choose_N(cfg, fam, law)
+        if tail > sim.TAIL_RESOLVED:
+            raise sim.UnresolvedGrid(
+                "no grid up to N=%d resolves the profile (spectral tail %.2g > %.2g); pass --N to "
+                "run on a grid of your choice" % (N, tail, sim.TAIL_RESOLVED)
+            )
         cfg = replace(cfg, N=N)
     state0 = sim.init_from_family(cfg, fam, law)
     states = sim.run(cfg, state0)
@@ -355,7 +361,7 @@ def cmd_simulate(args) -> int:
     except (NoRealSolution, DegenerateEquation) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (sim.SimulationBlowUp, sim.StabilityError) as exc:
+    except (sim.SimulationBlowUp, sim.StabilityError, sim.UnresolvedGrid) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return EXIT_NUMERICAL
     for line in lines:
@@ -379,7 +385,7 @@ def cmd_sweep(args) -> int:
             code, lines = _run_simulation(params, sub_args, filecfg)
         except (NoRealSolution, DegenerateEquation) as exc:
             code, lines = EXIT_NO_SOLUTION, ["error: %s" % (exc,)]
-        except (sim.SimulationBlowUp, sim.StabilityError) as exc:
+        except (sim.SimulationBlowUp, sim.StabilityError, sim.UnresolvedGrid) as exc:
             code, lines = EXIT_NUMERICAL, ["error: %s" % (exc,)]
         print("--- %s = %s ---" % (args.sweep_param, value))
         for line in lines:

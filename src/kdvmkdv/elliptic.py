@@ -69,6 +69,15 @@ def _amplitude(x: np.ndarray, m: float) -> np.ndarray:
     return phi
 
 
+def sech(x, amplitude: float = 1.0):
+    """amplitude*sech(x), formed as amplitude / cosh(x), for scalar or ndarray x.
+
+    cosh overflows to inf past |x| ~ 710, where the quotient is the right
+    value 0, so that overflow is not reported."""
+    with np.errstate(over="ignore"):
+        return amplitude / np.cosh(x)
+
+
 def jacobi(xi, m: float) -> EllipticTriple:
     """Evaluate (sn, cn, dn) at argument xi for parameter m in [0, 1].
 
@@ -91,7 +100,7 @@ def jacobi(xi, m: float) -> EllipticTriple:
 
     if m == 1.0:
         sn = np.tanh(x)
-        cn = 1.0 / np.cosh(x)
+        cn = sech(x)
         dn = cn
     else:
         K = complete_K(m)

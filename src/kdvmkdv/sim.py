@@ -71,6 +71,10 @@ class StabilityError(RuntimeError):
     """The configured time step violates the advective stability bound."""
 
 
+class UnresolvedGrid(RuntimeError):
+    """No grid up to N_MAX resolves the initial profile."""
+
+
 @dataclass(frozen=True)
 class SimConfig:
     p: PdeParams

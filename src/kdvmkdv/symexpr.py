@@ -222,18 +222,24 @@ class ParamPoly:
 
     def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "ParamPoly":
         """Exact substitution of symbols by polynomials (or constants)."""
-        repl = {s: self._coerce(v) for s, v in mapping.items()}
-        out = ParamPoly.zero()
+        polys = {s: v for s, v in mapping.items() if isinstance(v, ParamPoly)}
+        numbers = {s: _as_fraction(v) for s, v in mapping.items() if s not in polys}
+        res: dict[Mono, Fraction] = {}
         for mono, coef in self.terms.items():
-            factor = ParamPoly.const(coef)
+            factor = ParamPoly.const(1)
             kept: list[tuple[str, int]] = []
             for s, e in mono:
-                if s in repl:
-                    factor = factor * repl[s] ** e
+                if s in numbers:
+                    coef = coef * numbers[s] ** e
+                elif s in polys:
+                    factor = factor * polys[s] ** e
                 else:
                     kept.append((s, e))
-            out = out + factor * ParamPoly({_mono(*kept): Fraction(1)})
-        return out
+            rest = tuple(kept)
+            for m2, c2 in factor.terms.items():
+                mono2 = _mono_mul(m2, rest)
+                res[mono2] = res.get(mono2, Fraction(0)) + coef * c2
+        return ParamPoly(res)
 
     def eval(self, bindings: dict[str, float]) -> float:
         """Numeric value of the polynomial under a full symbol binding."""

@@ -406,7 +406,7 @@ def evaluate(fam: SolutionFamily, x, t: float, law: VelocityLaw | None = None):
     xi = np.asarray(x, dtype=float) - wave_position(law, t)
     m = float(fam.params.m)
     if m == 1.0:
-        sech = 1.0 / np.cosh(xi)
+        sech = elliptic.sech(xi)
         u = fam.A * sech + fam.B * sech + fam.D
     else:
         sn, cn, dn = elliptic.jacobi(xi, m)
@@ -424,7 +424,7 @@ class SechProfile:
 
     def __call__(self, x, t: float = 0.0):
         xi = np.asarray(x, dtype=float) - self.speed * t
-        u = self.amplitude / np.cosh(xi) + self.offset
+        u = elliptic.sech(xi, self.amplitude) + self.offset
         return u if np.ndim(x) else float(u)
 
 

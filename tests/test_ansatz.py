@@ -8,6 +8,7 @@ positive leading sign applied to both sides).
 
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +167,42 @@ class TestExtractSystem:
         start = time.perf_counter()
         derive_system(1)
         assert time.perf_counter() - start < 1.0
+
+
+class TestSympyOracle:
+    def test_order_one_system_matches_golden(self):
+        """Rederive the first-order system in sympy, with sn, cn and dn as
+        plain symbols, and compare it with the golden file: the same seven
+        basis monomials in the same order, each golden equation equal to the
+        sympy coefficient up to a rational multiple of a monomial in A, B, m
+        (the normalization of extract_system)."""
+        sp = pytest.importorskip("sympy")
+        names = {s: sp.Symbol(s) for s in "sn cn dn a b d m A B D v".split()}
+        sn, cn, dn = names["sn"], names["cn"], names["dn"]
+        sa, sb, sd, sm, sA, sB, sD, sv = (names[s] for s in "a b d m A B D v".split())
+
+        def dxi(e):  # sn' = cn*dn, cn' = -sn*dn, dn' = -m*sn*cn
+            return sp.diff(e, sn) * cn * dn - sp.diff(e, cn) * sn * dn - sp.diff(e, dn) * sm * sn * cn
+
+        u = sA * cn + sB * dn + sD
+        du = dxi(u)
+        residual = sp.expand(-sv * du + sa * u * du + sb * u**2 * du + sd * dxi(dxi(du)))
+        reduced = sum(
+            coef * sn**i * cn ** (j % 2) * dn ** (k % 2) * (1 - sn**2) ** (j // 2) * (1 - sm * sn**2) ** (k // 2)
+            for (i, j, k), coef in sp.Poly(residual, sn, cn, dn).terms()
+        )
+        derived = dict(sp.Poly(sp.expand(reduced), sn, cn, dn).terms())
+
+        golden = {}
+        for line in (Path(__file__).parent / "golden" / "derive_order1.txt").read_text().splitlines():
+            mono, _, eq = line.partition(": ")
+            key = sp.Poly(sp.sympify(mono, locals=names), sn, cn, dn).monoms()[0]
+            golden[key] = sp.sympify(eq.removesuffix(" = 0"), locals=names)
+        assert list(golden) == sorted(derived) and len(golden) == 7
+        for key, eq in golden.items():
+            for part in sp.fraction(sp.factor(derived[key] / eq)):
+                assert part.free_symbols <= {sA, sB, sm}
+                assert len(sp.Poly(part, sA, sB, sm).terms()) == 1
 
 
 class TestExactVanishing:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import kdvmkdv
-from kdvmkdv import waves
-from kdvmkdv.ansatz import PdeParams
+from kdvmkdv import solver, waves
+from kdvmkdv.ansatz import PdeParams, derive_system
 from kdvmkdv.cli import main
 from kdvmkdv.elliptic import complete_K
 from kdvmkdv.solver import solve_closed_form
@@ -68,6 +68,16 @@ class TestDerive:
         assert out == (GOLDEN / "derive_order1_timedep.txt").read_text()
         assert " w " in out or "w =" in out or "-w" in out
         assert "h" in out
+
+    def test_formal_signs_leave_the_printed_order_unchanged(self, capsys):
+        # verify and solve use the registered symbols sqrtm, sqrtq, binv, sgnA
+        # and sgnB; derivations printed after them must not change
+        assert main(["verify", "--perturb", "A=+0.5"]) == 1
+        assert main(["solve", "--numeric"]) == 0
+        for argv, golden in (([], "derive_order1.txt"), (["--timedep"], "derive_order1_timedep.txt")):
+            capsys.readouterr()
+            assert main(["derive", "--order", "1", *argv]) == 0
+            assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
     def test_invalid_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--order", "0")
@@ -125,6 +135,25 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "sn*dn" in out and "sn*cn" in out
+
+    def test_perturbed_residuals_print_term_by_term(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--perturb", "A=+0.5",
+                               "-a", "1", "-b", "2", "-d", "3", "-m", "0.5")
+        assert code == 1
+        lines = out.splitlines()
+        symbolic = lines.index("FAIL symbolic signs(-1,+1): nonzero residuals:")
+        assert lines[symbolic + 2] == "  equation[sn*cn]: 1/2*b + 1/4*b*m - 2*b*sqrtm*sqrtq - b*m*sqrtm*sqrtq"
+        exact = lines.index("FAIL exact family AB>0,D<0 sign_A=-1 sign_B=-1:")
+        assert lines[exact + 4] == "  equation[sn**3*cn]: 3/2 - 6*sqrtm*sqrtq"
+
+    def test_one_reduction_serves_all_eight_checks(self, capsys, monkeypatch):
+        reduced = []
+        reduce = solver._reduce
+        monkeypatch.setattr(solver, "_reduce", lambda poly: reduced.append(poly) or reduce(poly))
+        code, out, _ = run_cli(capsys, "verify", "-a", "1", "-b", "2", "-d", "3", "-m", "0.5")
+        assert code == 0
+        assert out.count("PASS symbolic") == 4 and out.count("PASS exact") == 4
+        assert len(reduced) == len(derive_system(1))
 
     def test_perturbing_an_unknown_name_is_usage_error(self, capsys):
         for spec in ("a=+1", "v=+0.1,x=1"):
@@ -363,6 +392,24 @@ class TestGridChoice:
         assert "N" not in self._summary(out)
         body = b"".join(f.read_bytes() for f in sorted(rundir.iterdir()))
         assert hashlib.sha256(body).hexdigest() == digest
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "--sweep-param", "a", "--sweep-values", "0"]])
+    def test_unresolved_chosen_grid_is_numerical_failure(self, capsys, tmp_path, command):
+        # a unit-width sech on a window of 4000 is not resolved by N_MAX = 4096
+        # points; stepping it on that grid took more than a minute
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *command, "-m", "1", "--window-length", "4000", "--T", "0.01",
+                                 "--outdir", str(tmp_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 4
+        message = err if command == ["simulate"] else out
+        assert "spectral tail 0.049" in message and "pass --N" in message
+        assert not list(tmp_path.iterdir())
+
+    def test_explicit_grid_runs_an_unresolved_profile(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "simulate", "-m", "1", "--window-length", "4000", "--N", "64",
+                               "--dt", "1e-3", "--T", "0.002", "--outdir", str(tmp_path))
+        assert code != 4 and "steps = 2" in out
 
     def test_periods_scale_the_chosen_grid(self, capsys, tmp_path):
         Ns = []

@@ -349,8 +349,7 @@ class TestGridChoice:
         # points, whose spectrum is flat: the search goes on past it
         p = PdeParams(0, 1, 1, 1.0)
         fam = solve_closed_form(p)[0]
-        with np.errstate(over="ignore"):  # cosh overflows far out in the window
-            N, tail = sim.choose_N(SimConfig(p=p, window_length=4000.0), fam)
+        N, tail = sim.choose_N(SimConfig(p=p, window_length=4000.0), fam)
         assert N == sim.N_MAX and tail > sim.TAIL_RESOLVED
 
 

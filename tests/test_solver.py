@@ -10,19 +10,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvmkdv import solver
 from kdvmkdv.ansatz import PdeParams, derive_system
 from kdvmkdv.solver import (
     BINV,
+    PERTURBABLE,
     SIGN_PAIRS,
     SQRT_M,
     SQRT_Q,
     DegenerateEquation,
     NoRealSolution,
     back_substitute_exact,
+    back_substitute_generic,
     residuals_numeric,
     solve_closed_form,
     solve_numeric,
+    specialize,
 )
+from kdvmkdv.symexpr import ParamPoly
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,75 @@ def sech_mkdv_residual_fd(amplitude: float, speed: float, b: float, d: float) ->
         uxxx = (u(x + 2 * h, 0) - 2 * u(x + h, 0) + 2 * u(x - h, 0) - u(x - 2 * h, 0)) / (2 * h**3)
         worst = max(worst, abs(ut + b * u(x, 0) ** 2 * ux + d * uxxx))
     return worst
+
+
+def per_sign_residuals(system, sign_A, sign_B, perturb, params):
+    """Reference back-substitution of one family: its signs are substituted
+    as numbers before the reduction."""
+    a, b, d, m, binv, sqrtm, sqrtq = map(ParamPoly.symbol, ("a", "b", "d", "m", BINV, SQRT_M, SQRT_Q))
+    values = {
+        "A": sign_A * sqrtm * sqrtq,
+        "B": sign_B * sqrtq,
+        "D": Fraction(-1, 2) * a * binv,
+        "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv,
+    }
+    for name, delta in perturb.items():
+        values[name] = values[name] + delta
+    residuals = [solver._reduce(eq.substitute(values)) for eq in system.equations]
+    if params is None:
+        return residuals
+    numbers = {**params, BINV: 1 / params["b"]}
+    return [r.substitute(numbers) for r in residuals]
+
+
+def newton_per_start(system, p, seeds, rng_seed=0):
+    """Reference multi-start Newton: one start at a time, F and J evaluated
+    term by term from the equations, one least-squares solve per step."""
+    a, b, d, m = p.as_floats()
+    base = {"a": a, "b": b, "d": d, "m": m}
+    names = [s for s in system.unknowns if s not in base]
+    grads = [[eq.derivative(s) for s in names] for eq in system.equations]
+
+    def fval(x):
+        return np.array([eq.eval({**base, **dict(zip(names, x))}) for eq in system.equations])
+
+    def jval(x):
+        return np.array([[g.eval({**base, **dict(zip(names, x))}) for g in row] for row in grads])
+
+    scale = max(1.0, math.sqrt(abs(1.5 * d / b)), abs(a / (2 * b)))
+    rng = np.random.default_rng(rng_seed)
+    roots = []
+    for _ in range(seeds):
+        x = rng.uniform(-3.0 * scale, 3.0 * scale, size=len(names))
+        fx = fval(x)
+        for _ in range(solver.NEWTON_MAX_STEPS):
+            norm = np.linalg.norm(fx)
+            if norm < 1e-13:
+                break
+            step = np.linalg.lstsq(jval(x), fx, rcond=None)[0]
+            lam = 1.0
+            for _ in range(20):
+                x_new = x - lam * step
+                f_new = fval(x_new)
+                if np.linalg.norm(f_new) < norm:
+                    break
+                lam *= 0.5
+            else:
+                break
+            x, fx = x_new, f_new
+        if np.linalg.norm(fx) < solver.NEWTON_RESIDUAL_ACCEPT:
+            if not any(np.linalg.norm(x - r) < solver.ROOT_DEDUP_TOL for r in roots):
+                roots.append(x)
+    return roots
+
+
+def rational_params(rng, same_sign=True):
+    """Rational a, b, d, m with b*d > 0 (or < 0), m in [0.05, 0.95]."""
+    sign = rng.choice((1, -1))
+    a = Fraction(int(rng.integers(-8, 9)), 4)
+    b = sign * Fraction(int(rng.integers(2, 9)), 4)
+    d = (1 if same_sign else -1) * sign * Fraction(int(rng.integers(2, 9)), 4)
+    return PdeParams(a, b, d, Fraction(int(rng.integers(5, 96)), 100))
 
 
 class TestClosedForm:
@@ -109,6 +183,10 @@ class TestBackSubstituteExact:
             residuals = back_substitute_exact(system, params=None, sign_A=sa, sign_B=sb)
             assert all(r.is_zero for r in residuals)
 
+    def test_generic_residuals_vanish_with_formal_signs(self, system):
+        # zero before any sign is chosen: sgnA^2 -> 1 and sgnB^2 -> 1 are in the reduction
+        assert all(r.is_zero for r in back_substitute_generic(system))
+
     def test_rational_parameters(self, system):
         params = {"a": Fraction(2), "b": Fraction(3), "d": Fraction(6), "m": Fraction(3, 4)}
         for sa, sb in SIGN_PAIRS:
@@ -154,6 +232,28 @@ class TestBackSubstituteExact:
             for r, w in zip(got, want):
                 assert r.eval(roots) == pytest.approx(w, rel=1e-9, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.fractions(-3, 3, max_denominator=8),
+        b=st.fractions(1, 4, max_denominator=8),
+        b_sign=st.sampled_from((1, -1)),
+        d=st.fractions(-4, 4, max_denominator=8),
+        m=st.fractions(Fraction(1, 8), 1, max_denominator=8),
+        perturb=st.dictionaries(st.sampled_from(PERTURBABLE), st.fractions(-2, 2, max_denominator=8)),
+    )
+    def test_generic_residuals_specialize_to_the_per_sign_residuals(
+        self, system, a, b, b_sign, d, m, perturb
+    ):
+        """One reduction with formal signs, specialized to a family, gives the
+        polynomials of the reduction with that family's signs put in first."""
+        params = {"a": a, "b": b_sign * b, "d": d, "m": m}
+        generic = back_substitute_generic(system, perturb)
+        for signs in SIGN_PAIRS:
+            for exact in (None, params):
+                want = per_sign_residuals(system, *signs, perturb, exact)
+                assert specialize(generic, *signs, exact) == want
+                assert back_substitute_exact(system, exact, *signs, perturb=perturb) == want
+
     def test_numeric_fallback_for_irrational_parameters(self, system):
         p = PdeParams(a=math.sqrt(2), b=1.0, d=math.pi / 3.0, m=0.7)
         assert p.exact() is None
@@ -184,6 +284,50 @@ class TestSolveNumeric:
     def test_requires_enough_seeds(self, system):
         with pytest.raises(ValueError):
             solve_numeric(system, PdeParams(0.0, 1.0, 1.0, 0.5), seeds=8)
+
+    @pytest.mark.parametrize("seeds", [16, 32, 33])
+    def test_batch_finds_each_closed_form(self, system, seeds):
+        rng = np.random.default_rng(seeds)
+        for _ in range(20):
+            p = rational_params(rng)
+            roots = solve_numeric(system, p, seeds=seeds)
+            closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
+            assert len(roots) == 4
+            for root in roots:
+                assert min(np.max(np.abs(root - c)) for c in closed) < 1e-12
+            assert [tuple(r) for r in roots] == sorted(tuple(r) for r in roots)
+
+    def test_batch_finds_nothing_for_opposite_signs(self, system):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            assert solve_numeric(system, rational_params(rng, same_sign=False)) == []
+
+    @pytest.mark.parametrize("seeds", [16, 33])
+    def test_batch_matches_the_per_start_loop(self, system, seeds):
+        """Same starts, same rules: the same roots, up to the rounding of the
+        reordered float sums (1e-12 absolute, the roots being of order 1)."""
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            p = rational_params(rng)
+            got = solve_numeric(system, p, seeds=seeds)
+            want = newton_per_start(system, p, seeds)
+            assert len(got) == len(want)
+            for root in want:
+                assert min(np.max(np.abs(root - r)) for r in got) < 1e-12
+
+    def test_one_stacked_solve_per_step(self, system, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counted(J, *args, **kwargs):
+            calls.append(J.shape)
+            return pinv(J, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counted)
+        monkeypatch.setattr(np.linalg, "lstsq", None)
+        assert len(solve_numeric(system, PdeParams(0.5, 1.0, 1.0, 0.6), seeds=32)) == 4
+        assert 0 < len(calls) <= solver.NEWTON_MAX_STEPS
+        assert calls[0] == (32, len(system), 4)
 
     def test_deterministic(self, system):
         p = PdeParams(0.5, 1.0, 1.0, 0.6)

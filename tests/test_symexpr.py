@@ -247,6 +247,19 @@ class TestNormalization:
         q = p.substitute({"a": Fraction(2), "v": sym("a") + 1})
         assert q == P.const(4) + sym("b") * sym("a") + sym("b")
 
+    @given(p=param_polys(), by_a=param_polys(), m_value=_small_fraction, v_value=_small_fraction)
+    def test_substitute_matches_ring_operations(self, p, by_a, m_value, v_value):
+        """Reference: each term rebuilt as coefficient times the product of
+        the substituted powers, summed by ring addition."""
+        mapping = {"a": by_a, "m": m_value, "v": v_value}
+        want = P.zero()
+        for mono, coef in p.terms.items():
+            term = P.const(coef)
+            for s, e in mono:
+                term = term * (P._coerce(mapping[s]) if s in mapping else sym(s)) ** e
+            want = want + term
+        assert p.substitute(mapping) == want
+
     def test_derivative(self):
         p = sym("v") ** 3 * sym("b") + sym("a")
         assert p.derivative("v") == 3 * sym("v") ** 2 * sym("b")

@@ -7,6 +7,7 @@ for f = 1 (Int = t - t_ref) and f = e^t (Int = e^{-t_ref} - e^{-t}).
 
 import math
 import time
+import warnings
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestHyperbolicLimit:
         assert prof.amplitude == pytest.approx(0.0, abs=1e-15)
         xs = np.linspace(-5, 5, 101)
         assert np.max(np.abs(evaluate(fam, xs, 0.4) - fam.D)) < 1e-15
+
+    def test_far_tail_is_zero_without_an_overflow_warning(self, sech_family):
+        # cosh overflows past |xi| ~ 710; sech is 0 there, and says nothing
+        xs = np.array([800.0, -900.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert elliptic.jacobi(800.0, 1.0) == (1.0, 0.0, 0.0)
+            assert elliptic.jacobi(-900.0, 1.0) == (-1.0, 0.0, 0.0)
+            assert np.array_equal(evaluate(sech_family, xs, 0.0), [0.0, 0.0])
+            assert np.array_equal(hyperbolic_limit(sech_family)(xs), [0.0, 0.0])
 
     def test_requires_m_equal_one(self, cnoidal_family):
         with pytest.raises(ValueError, match="m=1"):
