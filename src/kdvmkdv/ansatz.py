@@ -12,16 +12,11 @@ w = v + t*dv/dt and multiplies the spatial part by h = 1/f(t).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from numbers import Real
 
-from .symexpr import (
-    EllipticExpr,
-    EllipticMonomial,
-    ParamPoly,
-    register_symbol,
-)
+from .symexpr import EllipticExpr, EllipticMonomial, ParamPoly
 
 # Symbols treated as nonzero when an extracted equation is normalized: the
 # ansatz amplitudes (a trivial A=B=0 wave carries no constraint) and the
@@ -40,22 +35,14 @@ class PdeParams:
     m: Real
 
     def __post_init__(self):
-        if not 0.0 <= float(self.m) <= 1.0:
+        for name in ("a", "b", "d"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError("coefficient %s=%r is not finite" % (name, getattr(self, name)))
+        if not 0.0 <= float(self.m) <= 1.0:  # also refuses a non-finite m
             raise ValueError("elliptic parameter m=%r outside [0, 1]" % (self.m,))
 
     def as_floats(self) -> tuple[float, float, float, float]:
         return float(self.a), float(self.b), float(self.d), float(self.m)
-
-    def exact(self) -> dict[str, Fraction] | None:
-        """Fraction values when every coefficient is exactly rational, else None."""
-        out = {}
-        for name in ("a", "b", "d", "m"):
-            val = getattr(self, name)
-            if isinstance(val, (int, Fraction)):
-                out[name] = Fraction(val)
-            else:
-                return None
-        return out
 
 
 @dataclass(frozen=True)
@@ -63,7 +50,7 @@ class AnsatzSpec:
     """Expansion order and the coefficient symbols it introduces.
 
     Order 1 uses the canonical names A, B and D (the constant term); higher
-    orders register A1..An, B1..Bn and A0.
+    orders use A1..An, B1..Bn and A0.
     """
 
     order: int
@@ -78,13 +65,13 @@ class AnsatzSpec:
             return ("A", "B")
         names = []
         for i in range(1, self.order + 1):
-            names.append(register_symbol("A%d" % i))
-            names.append(register_symbol("B%d" % i))
+            names.append("A%d" % i)
+            names.append("B%d" % i)
         return tuple(names)
 
     @property
     def offset_symbol(self) -> str:
-        return "D" if self.order == 1 else register_symbol("A0")
+        return "D" if self.order == 1 else "A0"
 
     @property
     def coefficient_symbols(self) -> tuple[str, ...]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 
@@ -42,6 +41,21 @@ VELOCITY_REL_TOL = 1e-3
 MASS_DRIFT_TOL = 1e-9
 QUAD_DRIFT_TOL = 1e-8
 CONSTRAINT_TOL = 1e-7
+
+# The exit code of each error class a command may end with; any other
+# ValueError is a usage error (EXIT_USAGE).
+ERROR_EXITS = {
+    NoRealSolution: EXIT_NO_SOLUTION,
+    DegenerateEquation: EXIT_NO_SOLUTION,
+    sim.SimulationBlowUp: EXIT_NUMERICAL,
+    sim.StabilityError: EXIT_NUMERICAL,
+    sim.UnresolvedGrid: EXIT_NUMERICAL,
+    waves.CoefficientSingularity: EXIT_NUMERICAL,
+}
+
+
+def _exit_code(exc: Exception) -> int:
+    return next((code for cls, code in ERROR_EXITS.items() if isinstance(exc, cls)), EXIT_USAGE)
 
 
 def _fmt(x: float) -> str:
@@ -88,8 +102,8 @@ def _opt(args, filecfg: dict[str, str], name: str, default, conv=float):
 
 def _exact_or_none(text: str) -> Fraction | None:
     try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
         return None
 
 
@@ -142,11 +156,7 @@ def _family_record(fam) -> str:
 def cmd_solve(args) -> int:
     filecfg = _read_config(args.config)
     params = _params_from(args, filecfg)
-    try:
-        fams = solve_closed_form(params.floats)
-    except (NoRealSolution, DegenerateEquation) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NO_SOLUTION
+    fams = solve_closed_form(params.floats)
     for fam in fams:
         print(_family_record(fam))
     if getattr(args, "numeric", False):
@@ -202,12 +212,7 @@ def cmd_verify(args) -> int:
         else:
             print("PASS symbolic %s: all equations reduce to the zero polynomial" % (tag,))
 
-    try:
-        fams = solve_closed_form(params.floats)
-    except (NoRealSolution, DegenerateEquation) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NO_SOLUTION
-
+    fams = solve_closed_form(params.floats)
     for fam in fams:
         label = "family %s sign_A=%+d sign_B=%+d" % (fam.class_label, fam.sign_A, fam.sign_B)
         if params.exact is not None:
@@ -356,14 +361,7 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    try:
-        code, lines = _run_simulation(params, args, filecfg)
-    except (NoRealSolution, DegenerateEquation) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    except (sim.SimulationBlowUp, sim.StabilityError, sim.UnresolvedGrid) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NUMERICAL
+    code, lines = _run_simulation(params, args, filecfg)
     for line in lines:
         print(line)
     return code
@@ -383,10 +381,9 @@ def cmd_sweep(args) -> int:
         params = _params_from(sub_args, filecfg)
         try:
             code, lines = _run_simulation(params, sub_args, filecfg)
-        except (NoRealSolution, DegenerateEquation) as exc:
-            code, lines = EXIT_NO_SOLUTION, ["error: %s" % (exc,)]
-        except (sim.SimulationBlowUp, sim.StabilityError, sim.UnresolvedGrid) as exc:
-            code, lines = EXIT_NUMERICAL, ["error: %s" % (exc,)]
+        except (NoRealSolution, DegenerateEquation, sim.SimulationBlowUp, sim.StabilityError,
+                sim.UnresolvedGrid) as exc:  # the other values still run
+            code, lines = _exit_code(exc), ["error: %s" % (exc,)]
         print("--- %s = %s ---" % (args.sweep_param, value))
         for line in lines:
             print(line)
@@ -477,12 +474,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except (waves.CoefficientSingularity,) as exc:
+    except (*ERROR_EXITS, ValueError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -82,7 +82,6 @@ class SimConfig:
     periods: int = 1
     dt: float = 1e-4
     T: float = 1.0
-    dealias: bool = True
     f: Coefficient = field(default_factory=UnitCoefficient)
     t0: float = 0.0
     window_length: float | None = None  # explicit domain for windowed m=1 runs
@@ -166,7 +165,7 @@ class _Stepper:
         # its spectrum by 2, which `pad` and `dx` undo
         self.pad = np.full(M + 1, 2.0)
         self.pad[M] = 1.0
-        self.dx = (-0.5j if cfg.dealias else -1j) * self.k
+        self.dx = -0.5j * self.k
         self.err_weight = np.ones(M + 1)
         self.err_weight[3 * M // 4 :] = NOISE_WEIGHT
         self._ops = (None, None, None)  # (dt, factor over dt/2, factor over dt) of the last step
@@ -184,12 +183,8 @@ class _Stepper:
         takes NumPy's slow path.
         """
         N = self.cfg.N
-        if self.cfg.dealias:
-            u = np.fft.irfft(vh * self.pad, n=2 * N)
-            fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))[: N // 2 + 1]
-        else:
-            u = np.fft.irfft(vh, n=N)
-            fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))
+        u = np.fft.irfft(vh * self.pad, n=2 * N)
+        fh = np.fft.rfft(u * u * (self.a2 + self.b3 * u))[: N // 2 + 1]
         return self.dx * fh
 
     def embedded_step(self, vh: np.ndarray, dt: float,
@@ -311,8 +306,7 @@ def _step_spans(cfg: SimConfig, ts: np.ndarray) -> np.ndarray:
     return np.concatenate([cfg.dt * (cfg.f.integral_h(b[:-1], b[1:]) / np.diff(b)) for b in blocks])
 
 
-def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
-        check_stability: bool = True) -> Trajectory:
+def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     """Integrate from state0 over cfg.T, returning ~snapshots states
     (including the initial and final ones).
 
@@ -323,9 +317,10 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
     refused up front when the advective CFL number of its largest step
     exceeds the RK4 bound, and stopped when a step's error estimate per unit
     tau exceeds ESTIMATE_LIMIT, a sign that the Lawson scheme has gone
-    unstable; check_stability=False skips both gates.
-    Controlled runs choose each step so that the estimate per unit tau stays
-    below RTOL and land exactly on the snapshot times.
+    unstable; both raise StabilityError.  Controlled runs choose each step so
+    that the estimate per unit tau stays below RTOL and land exactly on the
+    snapshot times.  A step that gives non-finite values raises
+    SimulationBlowUp in either kind of run.
     """
     if cfg.adaptive:
         return _run_controlled(_Stepper(cfg), state0, snapshots)
@@ -336,13 +331,12 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
     ts = state0.t + cfg.dt * np.arange(n_steps + 1)
     dtaus = _step_spans(cfg, ts)
     dt_max = float(np.max(np.abs(dtaus)))
-    if check_stability:
-        rep = stability_report(replace(cfg, dt=dt_max), state0.field())
-        if rep["advective_cfl"] > rep["stability_limit"]:
-            raise StabilityError(
-                "advective CFL %.3g exceeds RK4 bound %.3g; reduce dt"
-                % (rep["advective_cfl"], rep["stability_limit"])
-            )
+    rep = stability_report(replace(cfg, dt=dt_max), state0.field())
+    if rep["advective_cfl"] > rep["stability_limit"]:
+        raise StabilityError(
+            "advective CFL %.3g exceeds RK4 bound %.3g; reduce dt"
+            % (rep["advective_cfl"], rep["stability_limit"])
+        )
     stride = max(1, n_steps // max(1, snapshots - 1))
     states = Trajectory([state0])
     vh = state0.uhat[: cfg.N // 2 + 1]
@@ -351,7 +345,7 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51,
         vh, g, err = stepper.embedded_step(vh, dtau, g)
         if not np.isfinite(err):
             raise _blow_up(t)
-        if check_stability and err > ESTIMATE_LIMIT * abs(dtau):
+        if err > ESTIMATE_LIMIT * abs(dtau):
             raise StabilityError(
                 "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is unstable "
                 "for this run; reduce dt or let the step be chosen by error control"
@@ -496,7 +490,7 @@ def config_hash(cfg: SimConfig) -> str:
             cfg.periods,
             cfg.dt,
             cfg.T,
-            cfg.dealias,
+            True,  # the former dealias flag: run-directory names stay as they were
             repr(cfg.f),
             cfg.t0,
             cfg.window_length,

@@ -28,13 +28,11 @@ from fractions import Fraction
 import numpy as np
 
 from .ansatz import AlgebraicSystem, PdeParams
-from .symexpr import ParamPoly, UnboundSymbolError, register_symbol
+from .symexpr import FORMAL_SYMBOLS, ParamPoly, UnboundSymbolError
 
-SQRT_M = register_symbol("sqrtm")  # formal square root of m
-SQRT_Q = register_symbol("sqrtq")  # formal square root of 3d/(2b)
-BINV = register_symbol("binv")  # formal inverse of b
-SGN_A = register_symbol("sgnA")  # formal sign of A, sgnA^2 = 1
-SGN_B = register_symbol("sgnB")  # formal sign of B, sgnB^2 = 1
+# the formal square roots of m and of 3d/(2b), the formal inverse of b, and the
+# formal signs of A and B (sgnA^2 = sgnB^2 = 1)
+SQRT_M, SQRT_Q, BINV, SGN_A, SGN_B = FORMAL_SYMBOLS
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_generic can offset
@@ -75,11 +73,6 @@ class SolutionFamily:
         else:
             dd = "D=0"
         return "%s,%s" % (ab, dd)
-
-    @property
-    def peak(self) -> float:
-        """Value at xi = 0 (cn = dn = 1)."""
-        return self.A + self.B + self.D
 
 
 def solve_closed_form(p: PdeParams) -> list[SolutionFamily]:
@@ -273,7 +266,8 @@ def solve_numeric(
     and solves for all of them with one stacked pseudo-inverse; the line
     search halves each start's damping separately.  Roots with residual norm
     below 1e-10 are kept, deduplicated at distance 1e-8, and returned sorted
-    lexicographically.
+    lexicographically on their values rounded to 1e-9, far above the noise
+    of the last bits, so that roots with the same A sort by B.
     """
     if seeds < 16:
         raise ValueError("seeds must be >= 16 for meaningful coverage")
@@ -321,5 +315,5 @@ def solve_numeric(
     for root in x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]:
         if not any(np.linalg.norm(root - r) < ROOT_DEDUP_TOL for r in roots):
             roots.append(root)
-    roots.sort(key=lambda r: tuple(r))
+    roots.sort(key=lambda r: tuple(np.round(r, 9)))
     return roots

@@ -15,8 +15,9 @@ All values are immutable; operations return new objects.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -25,41 +26,47 @@ from . import elliptic
 
 # Scalar symbols of the coefficient ring, in canonical order.  h stands for
 # 1/f(t) and w for the grouped speed term v + t*dv/dt of the time-dependent
-# equation; extra symbols (higher-order ansatz amplitudes, formal square
-# roots) are appended to the registry on demand.
+# equation.  The order is fixed (a monomial order is a total order on the
+# variables): CORE_SYMBOLS, then the solver's formal square roots, inverse and
+# signs, then the higher-order ansatz amplitudes A1, B1, A2, B2, ..., and the
+# higher-order offset A0 last.
 CORE_SYMBOLS = ("a", "b", "d", "m", "A", "B", "D", "v", "h", "w")
+FORMAL_SYMBOLS = ("sqrtm", "sqrtq", "binv", "sgnA", "sgnB")
 
-_SYMBOL_INDEX: dict[str, int] = {s: i for i, s in enumerate(CORE_SYMBOLS)}
-_SYMBOL_NAMES: list[str] = list(CORE_SYMBOLS)
+_AMPLITUDE = re.compile(r"([AB])([1-9][0-9]*)")
 
 
 class UnboundSymbolError(KeyError):
     """Numeric evaluation hit a symbol with no binding."""
 
 
-def register_symbol(name: str) -> str:
-    """Add a symbol to the ordered registry (idempotent); returns the name."""
-    if name not in _SYMBOL_INDEX:
-        _SYMBOL_INDEX[name] = len(_SYMBOL_NAMES)
-        _SYMBOL_NAMES.append(name)
-    return name
+class _Ranks(dict):
+    """Position of each symbol in the fixed order, filled in as names are
+    first looked up; an unknown name raises KeyError."""
+
+    def __missing__(self, name: str) -> float:
+        if name == "A0":
+            rank = inf
+        else:
+            match = _AMPLITUDE.fullmatch(name)
+            if match is None:
+                raise KeyError("unknown symbol %r" % (name,))
+            rank = len(CORE_SYMBOLS + FORMAL_SYMBOLS) + 2 * (int(match[2]) - 1) + (match[1] == "B")
+        self[name] = rank
+        return rank
 
 
-def _sym_index(name: str) -> int:
-    try:
-        return _SYMBOL_INDEX[name]
-    except KeyError:
-        raise KeyError("unknown symbol %r (register_symbol first)" % (name,)) from None
+_RANK = _Ranks((s, i) for i, s in enumerate(CORE_SYMBOLS + FORMAL_SYMBOLS))
 
 
 # A monomial in the scalar symbols: tuple of (name, exponent>0) pairs sorted
-# by registry order.  The empty tuple is the constant monomial.
+# by rank.  The empty tuple is the constant monomial.
 Mono = tuple[tuple[str, int], ...]
 
 
 def _mono(*pairs: tuple[str, int]) -> Mono:
     items = [(s, e) for s, e in pairs if e]
-    items.sort(key=lambda p: _sym_index(p[0]))
+    items.sort(key=lambda p: _RANK[p[0]])
     return tuple(items)
 
 
@@ -81,11 +88,10 @@ def _mono_degree(m: Mono) -> int:
 
 
 def _mono_key(m: Mono) -> tuple:
-    """Graded-lexicographic sort key (dense over the current registry)."""
-    dense = [0] * len(_SYMBOL_NAMES)
-    for s, e in m:
-        dense[_sym_index(s)] = e
-    return (_mono_degree(m), tuple(dense))
+    """Graded-lexicographic sort key: by degree, then at the first symbol in
+    which two monomials differ, the one holding it, or its higher power, is
+    the greater."""
+    return (_mono_degree(m), tuple([(-_RANK[s], e) for s, e in m]))
 
 
 def _mono_text(m: Mono) -> str:
@@ -127,7 +133,7 @@ class ParamPoly:
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPoly":
-        _sym_index(name)
+        _RANK[name]  # KeyError for an unknown name
         return cls({_mono((name, 1)): Fraction(1)})
 
     @classmethod

@@ -325,15 +325,6 @@ class VelocityLaw:
             raise ValueError("t_ref must be positive (the law degenerates at t=0)")
         return cls(kind="time-dependent", C=C, f=f, v0=v0, t_ref=t_ref)
 
-    @classmethod
-    def for_family(cls, fam: SolutionFamily, f: Coefficient | None = None,
-                   v0: float | None = None, t_ref: float = 1.0) -> "VelocityLaw":
-        if f is None:
-            f = UnitCoefficient()
-        if isinstance(f, UnitCoefficient) and v0 is None:
-            return cls.constant(fam.v)
-        return cls.time_dependent(fam.v, f, fam.v if v0 is None else v0, t_ref)
-
 
 def velocity_at(law: VelocityLaw, t) -> float | np.ndarray:
     """Speed from the defining constraint: v(t) = (t_ref*v0 + C*int_{t_ref}^t h)/t."""

@@ -220,3 +220,13 @@ class TestExactVanishing:
             )
             for fam in solve_closed_form(p):
                 assert max(abs(r) for r in residuals_numeric(fam, system)) < 1e-12
+
+
+class TestPdeParams:
+    @pytest.mark.parametrize("field", ["a", "b", "d", "m"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_coefficients_are_refused(self, field, value):
+        values = {"a": 0.0, "b": 1.0, "d": 1.0, "m": 0.5}
+        values[field] = value
+        with pytest.raises(ValueError):
+            PdeParams(**values)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,12 @@ import pytest
 import kdvmkdv
 from kdvmkdv import solver, waves
 from kdvmkdv.ansatz import PdeParams, derive_system
-from kdvmkdv.cli import main
+from kdvmkdv.cli import _exact_or_none, main
 from kdvmkdv.elliptic import complete_K
 from kdvmkdv.solver import solve_closed_form
 
 GOLDEN = Path(__file__).parent / "golden"
+PERFBENCH_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden"
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -79,6 +81,20 @@ class TestDerive:
             assert main(["derive", "--order", "1", *argv]) == 0
             assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
+    def test_goldens_hold_in_any_order_of_derivations(self, capsys):
+        # the symbol order is fixed, so what one process derived before does
+        # not change what it prints next
+        goldens = {
+            ("2",): PERFBENCH_GOLDEN / "derive_order2.txt",
+            ("3",): PERFBENCH_GOLDEN / "derive_order3.txt",
+            ("1",): GOLDEN / "derive_order1.txt",
+            ("1", "--timedep"): GOLDEN / "derive_order1_timedep.txt",
+        }
+        for argv in (("2",), ("3",), ("3",), ("2",), ("1",), ("1", "--timedep")):
+            code, out, _ = run_cli(capsys, "derive", "--order", *argv)
+            assert code == 0
+            assert out == goldens[argv].read_text()
+
     def test_invalid_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--order", "0")
         assert code == 2
@@ -112,6 +128,38 @@ class TestSolve:
         code, _, err = run_cli(capsys, "solve", "-b", "0")
         assert code == 3
         assert "KdV" in err
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_numeric_roots_print_in_the_order_of_their_closed_forms(self, capsys, seed):
+        # (+,+) and (+,-) share A: B orders them, not the last bits of A
+        rng = np.random.default_rng(seed)
+        text = [str(rng.integers(-8, 9) / 4), str(rng.integers(2, 9) / 4), str(rng.integers(2, 9) / 4),
+                str(rng.integers(5, 96) / 100)]
+        code, out, _ = run_cli(capsys, "solve", "--numeric", "-a", text[0], "-b", text[1],
+                               "-d", text[2], "-m", text[3])
+        assert code == 0
+        printed = [
+            np.array([float(field.split("=")[1]) for field in line.split()[1:5]])
+            for line in out.splitlines() if line.startswith("root ")
+        ]
+        closed = [np.array([f.A, f.B, f.D, f.v])
+                  for f in solve_closed_form(PdeParams(*(float(t) for t in text)))]
+        assert len(printed) == 4
+        matched = [min(closed, key=lambda c: np.max(np.abs(root - c))) for root in printed]
+        assert [tuple(c) for c in matched] == sorted(tuple(c) for c in closed)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-a=inf"],
+        ["verify", "-a=nan"],
+        ["solve", "-d=inf"],
+        ["solve", "-b=1e400"],
+        ["simulate", "-d=-inf"],
+    ])
+    def test_non_finite_parameters_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
 
     def test_numeric_roots_are_tagged(self, capsys):
         code, out, _ = run_cli(
@@ -154,6 +202,20 @@ class TestVerify:
         assert code == 0
         assert out.count("PASS symbolic") == 4 and out.count("PASS exact") == 4
         assert len(reduced) == len(derive_system(1))
+
+    def test_fractional_perturbation_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--perturb", "A=+1/2")
+        assert code == 1
+        assert "FAIL symbolic signs(+1,+1)" in out
+        assert main(["verify", "--perturb", "A=+1/0"]) == 2
+
+    @pytest.mark.parametrize("text,value", [
+        ("1.", Fraction(1)), (".5", Fraction(1, 2)), ("1E5", Fraction(10**5)), ("+1e+3", Fraction(1000)),
+        ("1_000.5", Fraction(2001, 2)), ("-0", Fraction(0)), ("1e400", Fraction(10**400)),
+        ("0.1", Fraction(1, 10)), ("-3/4", Fraction(-3, 4)),
+    ])
+    def test_decimals_and_fractions_are_read_exactly(self, text, value):
+        assert _exact_or_none(text) == value
 
     def test_perturbing_an_unknown_name_is_usage_error(self, capsys):
         for spec in ("a=+1", "v=+0.1,x=1"):

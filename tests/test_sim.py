@@ -96,7 +96,7 @@ class TestStep:
         L = cfg.length
         k1 = 2 * np.pi / L
         u0 = np.cos(3 * k1 * cfg.grid())
-        states = run(cfg, SimState.from_field(0.0, u0, L), snapshots=2, check_stability=False)
+        states = run(cfg, SimState.from_field(0.0, u0, L), snapshots=2)
         exact = np.real(np.exp(1j * 3 * k1 * cfg.grid()) * np.exp(1j * (3 * k1) ** 3 * 0.1))
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-12
 
@@ -123,12 +123,16 @@ class TestStep:
             uh = st.uhat
             assert np.max(np.abs(uh - np.conj(uh[np.r_[0, cfg.N - 1 : 0 : -1]]))) < 1e-9
 
-    def test_blow_up_detection(self, cnoidal):
+    def test_blow_up_detection(self, cnoidal, monkeypatch):
+        # with both stability gates open, the unstable step runs on until its
+        # values stop being finite
+        monkeypatch.setattr(sim, "RK4_IMAG_STABILITY", np.inf)
+        monkeypatch.setattr(sim, "ESTIMATE_LIMIT", np.inf)
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=128, dt=0.3, T=3.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises((SimulationBlowUp, StabilityError)):
-                run(cfg, init_from_family(cfg, fam), check_stability=False)
+            with pytest.raises(SimulationBlowUp):
+                run(cfg, init_from_family(cfg, fam))
 
     def test_stability_refusal(self, cnoidal):
         p, fam = cnoidal
@@ -136,29 +140,25 @@ class TestStep:
         with pytest.raises(StabilityError, match="CFL"):
             run(cfg, init_from_family(cfg, fam))
 
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("sign", ["mixed", "negative"])
-    def test_nonlinear_matches_zero_padded_complex_fft(self, dealias, sign):
+    def test_nonlinear_matches_zero_padded_complex_fft(self, sign):
         a, b = 0.7, -1.3
-        cfg = SimConfig(p=PdeParams(a, b, -1.0, 0.5), N=128, dealias=dealias)
+        cfg = SimConfig(p=PdeParams(a, b, -1.0, 0.5), N=128)
         rng = np.random.default_rng(7)
         u = rng.standard_normal(cfg.N) if sign == "mixed" else -0.5 - rng.random(cfg.N)
         uhat = np.fft.fft(u)
         N, M = cfg.N, cfg.N // 2
         k = sim._wavenumbers(N, cfg.length)
-        if dealias:
-            padded = np.zeros(2 * N, dtype=complex)
-            padded[:M] = uhat[:M]
-            padded[-(M - 1):] = uhat[-(M - 1):]
-            padded[M] = padded[2 * N - M] = 0.5 * uhat[M]
-            up = np.fft.ifft(padded).real * 2.0
-            flux_hat = np.fft.fft(a * up**2 / 2.0 + b * up**3 / 3.0)
-            fhat = np.zeros(N, dtype=complex)
-            fhat[:M] = flux_hat[:M]
-            fhat[-(M - 1):] = flux_hat[-(M - 1):]
-            fhat *= 0.5
-        else:
-            fhat = np.fft.fft(a * u**2 / 2.0 + b * u**3 / 3.0)
+        padded = np.zeros(2 * N, dtype=complex)
+        padded[:M] = uhat[:M]
+        padded[-(M - 1):] = uhat[-(M - 1):]
+        padded[M] = padded[2 * N - M] = 0.5 * uhat[M]
+        up = np.fft.ifft(padded).real * 2.0
+        flux_hat = np.fft.fft(a * up**2 / 2.0 + b * up**3 / 3.0)
+        fhat = np.zeros(N, dtype=complex)
+        fhat[:M] = flux_hat[:M]
+        fhat[-(M - 1):] = flux_hat[-(M - 1):]
+        fhat *= 0.5
         expected = (-1j * k * fhat)[: M + 1]
         got = sim._Stepper(cfg).nonlinear(uhat[: M + 1])
         assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
@@ -176,13 +176,6 @@ class TestStep:
             fields.append(run(cfg, init_from_family(cfg, family), snapshots=2)[-1].field())
         assert np.min(fields[0]) < 0.0 < np.max(fields[0])
         assert np.max(np.abs(fields[0] + fields[1])) < 1e-13
-
-    def test_dealias_toggle_still_accurate(self, cnoidal):
-        p, fam = cnoidal
-        cfg = SimConfig(p=p, N=128, dt=5e-4, T=0.1, dealias=False)
-        states = run(cfg, init_from_family(cfg, fam), snapshots=2)
-        exact = waves.evaluate(fam, cfg.grid(), states[-1].t)
-        assert np.max(np.abs(states[-1].field() - exact)) < 1e-6
 
 
 class TestErrorControl:
@@ -250,7 +243,7 @@ class TestClock:
     def test_controlled_run_evaluates_f_a_fixed_number_of_times(self, cnoidal, monkeypatch):
         p, fam = cnoidal
         f = waves.parse_coefficient(KINKED_TABLE)
-        law = waves.VelocityLaw.for_family(fam, f)
+        law = waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
         counts = []
         for T in (0.5, 2.0):
             cfg = SimConfig(p=p, N=128, T=T, f=f, t0=1.0, adaptive=True)
@@ -272,7 +265,7 @@ class TestClock:
         p, fam = cnoidal
         f = waves.parse_coefficient(spec)
         cfg = SimConfig(p=p, N=128, T=0.5, f=f, t0=1.0, adaptive=True)
-        state0 = init_from_family(cfg, fam, waves.VelocityLaw.for_family(fam, f))
+        state0 = init_from_family(cfg, fam, waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v))
         with_f = run(cfg, state0, snapshots=2)
         tau = f.integral_h(1.0, 1.5)
         unit = run(SimConfig(p=p, N=128, T=tau, adaptive=True), state0, snapshots=2)
@@ -341,7 +334,7 @@ class TestGridChoice:
         f = waves.parse_coefficient("exp:-0.5")
         cfg = SimConfig(p=PdeParams(0, 1, 1, 0.9), f=f, t0=1.0)
         fam = solve_closed_form(cfg.p)[0]
-        law = waves.VelocityLaw.for_family(fam, f)
+        law = waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
         assert sim.choose_N(cfg, fam, law)[0] == sim.choose_N(replace(cfg, t0=0.0), fam)[0] == 128
 
     def test_unresolvable_profile_stops_at_the_cap(self):

@@ -9,10 +9,15 @@ from hypothesis import strategies as st
 
 from kdvmkdv import elliptic
 from kdvmkdv.symexpr import (
+    CORE_SYMBOLS,
+    FORMAL_SYMBOLS,
     EllipticExpr,
     EllipticMonomial,
     ParamPoly,
     UnboundSymbolError,
+    _mono,
+    _mono_key,
+    _RANK,
     basis_condition_number,
     reduce,
 )
@@ -277,3 +282,36 @@ class TestBasisIndependence:
     def test_ansatz_basis_well_conditioned(self):
         monos = [EllipticMonomial(*t) for t in [(0, 0, 0), (0, 1, 0), (0, 0, 1)]]
         assert basis_condition_number(monos, 0.5) < 1e6
+
+
+# -- symbol order ----------------------------------------------------------------
+
+ORDERED_SYMBOLS = CORE_SYMBOLS + FORMAL_SYMBOLS + ("A1", "B1", "A2", "B2", "A3", "B3", "A11", "B11", "A12", "A0")
+
+
+class TestSymbolOrder:
+    def test_fixed_order(self):
+        ranks = [_RANK[s] for s in ORDERED_SYMBOLS]
+        assert ranks == sorted(ranks) and len(set(ranks)) == len(ranks)
+        assert _RANK["B11"] < _RANK["A12"] < _RANK["A0"]
+
+    @pytest.mark.parametrize("name", ["x", "B0", "A01", "C1", "sqrt"])
+    def test_unknown_symbol_raises_key_error(self, name):
+        with pytest.raises(KeyError, match="unknown symbol"):
+            P.symbol(name)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(ORDERED_SYMBOLS), st.integers(1, 3)), max_size=4),
+        st.lists(st.tuples(st.sampled_from(ORDERED_SYMBOLS), st.integers(1, 3)), max_size=4),
+    )
+    def test_key_orders_as_the_dense_exponent_vector(self, pairs1, pairs2):
+        # graded lexicographic order: degree first, then the exponent vector
+        # over all symbols in rank order
+        def dense(mono):
+            powers = dict(mono)
+            return sum(powers.values()), [powers.get(s, 0) for s in ORDERED_SYMBOLS]
+
+        m1, m2 = _mono(*dict(pairs1).items()), _mono(*dict(pairs2).items())
+        assert (_mono_key(m1) < _mono_key(m2)) == (dense(m1) < dense(m2))
+        assert (_mono_key(m1) == _mono_key(m2)) == (m1 == m2)

@@ -226,12 +226,6 @@ class TestCoefficientDescriptors:
         with pytest.raises(ValueError, match="table"):
             velocity_at(law, 5.0)
 
-    def test_for_family_dispatch(self, cnoidal_family):
-        fam = cnoidal_family
-        assert VelocityLaw.for_family(fam).kind == "constant"
-        law = VelocityLaw.for_family(fam, ExponentialCoefficient(1.0))
-        assert law.kind == "time-dependent" and law.v0 == fam.v
-
 
 COEFFICIENT_KINDS = {
     "unit": UnitCoefficient(),
@@ -273,7 +267,7 @@ class TestCoefficientProtocol:
         tab = TabulatedCoefficient((0.5, 1.2, 2.0, 4.0), (1.0, 1.4, 0.9, 1.3))
         p = PdeParams(0, 1, 1, 0.5)
         fam = solve_closed_form(p)[0]
-        law = VelocityLaw.for_family(fam, tab)
+        law = VelocityLaw.time_dependent(fam.v, tab, v0=fam.v)
         velocity_at(law, 1.5)
         for adaptive in (False, True):
             cfg = sim.SimConfig(p=p, N=64, dt=1e-3, T=0.01, f=tab, t0=1.0, adaptive=adaptive)
