@@ -128,7 +128,9 @@ def _reduce(poly: ParamPoly) -> ParamPoly:
         cancel = min(powers.get("b", 0), powers[BINV])
         powers["b"] = powers.get("b", 0) - cancel
         powers[BINV] -= cancel
-        out = out + ParamPoly.monomial(coef * Fraction(3, 2) ** kq, **powers)
+        if kq:  # an integer coefficient stays an int where no sqrtq^2 is reduced
+            coef = coef * Fraction(3, 2) ** kq
+        out = out + ParamPoly.monomial(coef, **powers)
     return out
 
 
@@ -200,8 +202,8 @@ def back_substitute_exact(
 
 
 def residuals_numeric(family: SolutionFamily, system: AlgebraicSystem) -> list[float]:
-    """Float residual of each equation at the family's values (fallback check
-    for non-rational parameters; tolerance 1e-12 is the caller's contract)."""
+    """Float residual of each equation at the family's values: a numeric
+    oracle for the exact back-substitution, independent of its reduction."""
     a, b, d, m = family.params.as_floats()
     bindings = {
         "a": a,

@@ -1,7 +1,9 @@
 """Exact symbolic algebra over the sn/cn/dn function algebra.
 
 An expression is a finite sum  sum_k  P_k(a,b,d,m,A,B,D,v,h,w) * sn^i * cn^e1 * dn^e2
-with multivariate rational coefficients P_k held exactly (fractions.Fraction).
+with multivariate rational coefficients P_k held exactly: a coefficient is a
+plain int while the arithmetic stays integral, and a fractions.Fraction once a
+non-integer has entered it.
 Canonical form keeps cn and dn exponents in {0, 1} by rewriting
 
     cn^2 -> 1 - sn^2        dn^2 -> 1 - m*sn^2
@@ -100,11 +102,11 @@ def _mono_text(m: Mono) -> str:
     return "*".join(s if e == 1 else "%s**%d" % (s, e) for s, e in m)
 
 
-def _as_fraction(x) -> Fraction:
+def _exact(x) -> int | Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("exact coefficient expected (int or Fraction), got %r" % (x,))
 
 
@@ -113,8 +115,8 @@ class ParamPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
-        self.terms: dict[Mono, Fraction] = {}
+    def __init__(self, terms: dict[Mono, int | Fraction] | None = None):
+        self.terms: dict[Mono, int | Fraction] = {}
         if terms:
             for mono, coef in terms.items():
                 if coef:
@@ -128,17 +130,17 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value) -> "ParamPoly":
-        c = _as_fraction(value)
+        c = _exact(value)
         return cls({(): c}) if c else cls()
 
     @classmethod
     def symbol(cls, name: str) -> "ParamPoly":
         _RANK[name]  # KeyError for an unknown name
-        return cls({_mono((name, 1)): Fraction(1)})
+        return cls({_mono((name, 1)): 1})
 
     @classmethod
     def monomial(cls, coef, **powers: int) -> "ParamPoly":
-        return cls({_mono(*powers.items()): _as_fraction(coef)})
+        return cls({_mono(*powers.items()): _exact(coef)})
 
     # -- ring operations ----------------------------------------------------
 
@@ -161,7 +163,7 @@ class ParamPoly:
         other = self._coerce(other)
         res = dict(self.terms)
         for mono, coef in other.terms.items():
-            s = res.get(mono, Fraction(0)) + coef
+            s = res.get(mono, 0) + coef
             if s:
                 res[mono] = s
             else:
@@ -181,11 +183,11 @@ class ParamPoly:
 
     def __mul__(self, other) -> "ParamPoly":
         other = self._coerce(other)
-        res: dict[Mono, Fraction] = {}
+        res: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                s = res.get(mono, Fraction(0)) + c1 * c2
+                s = res.get(mono, 0) + c1 * c2
                 if s:
                     res[mono] = s
                 else:
@@ -217,20 +219,20 @@ class ParamPoly:
 
     def derivative(self, name: str) -> "ParamPoly":
         """Formal partial derivative with respect to one symbol."""
-        res: dict[Mono, Fraction] = {}
+        res: dict[Mono, int | Fraction] = {}
         for mono, coef in self.terms.items():
             for i, (s, e) in enumerate(mono):
                 if s == name:
                     rest = mono[:i] + ((s, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
-                    res[rest] = res.get(rest, Fraction(0)) + coef * e
+                    res[rest] = res.get(rest, 0) + coef * e
                     break
         return ParamPoly({m: c for m, c in res.items() if c})
 
     def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "ParamPoly":
         """Exact substitution of symbols by polynomials (or constants)."""
         polys = {s: v for s, v in mapping.items() if isinstance(v, ParamPoly)}
-        numbers = {s: _as_fraction(v) for s, v in mapping.items() if s not in polys}
-        res: dict[Mono, Fraction] = {}
+        numbers = {s: _exact(v) for s, v in mapping.items() if s not in polys}
+        res: dict[Mono, int | Fraction] = {}
         for mono, coef in self.terms.items():
             factor = ParamPoly.const(1)
             kept: list[tuple[str, int]] = []
@@ -244,7 +246,7 @@ class ParamPoly:
             rest = tuple(kept)
             for m2, c2 in factor.terms.items():
                 mono2 = _mono_mul(m2, rest)
-                res[mono2] = res.get(mono2, Fraction(0)) + coef * c2
+                res[mono2] = res.get(mono2, 0) + coef * c2
         return ParamPoly(res)
 
     def eval(self, bindings: dict[str, float]) -> float:
@@ -264,7 +266,7 @@ class ParamPoly:
 
     # -- canonical normalization --------------------------------------------
 
-    def leading(self) -> tuple[Mono, Fraction]:
+    def leading(self) -> tuple[Mono, int | Fraction]:
         mono = max(self.terms, key=_mono_key)
         return mono, self.terms[mono]
 
@@ -273,23 +275,23 @@ class ParamPoly:
         symbols; flip the sign so the leading coefficient is positive."""
         if not self.terms:
             return self
-        coeffs = list(self.terms.values())
         num = 0
         den = 1
-        for c in coeffs:
-            num = gcd(num, abs(c.numerator))
+        for c in self.terms.values():
+            num = gcd(num, c.numerator)
             den = den * c.denominator // gcd(den, c.denominator)
-        content = Fraction(num, den)
         strip = set(assume_nonzero)
-        shared: dict[str, int] = {}
-        for s in strip:
-            e = min((dict(mono).get(s, 0) for mono in self.terms), default=0)
-            if e:
-                shared[s] = e
-        res: dict[Mono, Fraction] = {}
+        shared: dict[str, int] | None = None
+        for mono in self.terms:
+            powers = {s: e for s, e in mono if s in strip}
+            if shared is not None:
+                powers = {s: min(e, powers[s]) for s, e in shared.items() if s in powers}
+            shared = powers
+        res: dict[Mono, int | Fraction] = {}
         for mono, coef in self.terms.items():
             kept = tuple((s, e - shared.get(s, 0)) for s, e in mono if e - shared.get(s, 0) > 0)
-            res[kept] = coef / content
+            # coef / (num/den) is an integer: num divides the numerator, the denominator divides den
+            res[kept] = coef.numerator * (den // coef.denominator) // num
         p = ParamPoly(res)
         if p.leading()[1] < 0:
             p = -p
@@ -443,19 +445,15 @@ class EllipticExpr:
         return EllipticExpr({m: p * f for m, p in self.terms.items()})
 
     def __mul__(self, other: "EllipticExpr") -> "EllipticExpr":
-        res: dict[EllipticMonomial, ParamPoly] = {}
+        raw: dict[tuple[int, int, int], ParamPoly] = {}
         for m1, p1 in self.terms.items():
             for m2, p2 in other.terms.items():
-                raw_coef = p1 * p2
-                reduced = _reduce_raw(
-                    m1.sn_pow + m2.sn_pow, m1.cn_pow + m2.cn_pow, m1.dn_pow + m2.dn_pow, raw_coef
-                )
-                for mono, poly in reduced.items():
-                    s = res.get(mono, ParamPoly.zero()) + poly
-                    if s:
-                        res[mono] = s
-                    else:
-                        res.pop(mono, None)
+                key = (m1.sn_pow + m2.sn_pow, m1.cn_pow + m2.cn_pow, m1.dn_pow + m2.dn_pow)
+                raw[key] = raw[key] + p1 * p2 if key in raw else p1 * p2
+        res: dict[EllipticMonomial, ParamPoly] = {}
+        for key, coef in raw.items():
+            for mono, poly in _reduce_raw(*key, coef).items():
+                res[mono] = res[mono] + poly if mono in res else poly
         return EllipticExpr(res)
 
     def __pow__(self, n: int) -> "EllipticExpr":

@@ -163,6 +163,12 @@ class TestExtractSystem:
         used = set().union(*(eq.symbols() for eq in system.equations))
         assert "h" in used and "w" in used and "v" not in used
 
+    @pytest.mark.parametrize("order,timedep", [(1, False), (2, False), (3, False), (1, True)])
+    def test_every_coefficient_is_an_int(self, order, timedep):
+        """The derivation is integer arithmetic; a Fraction here means a slow path crept back."""
+        system = derive_system(order, timedep=timedep)
+        assert {type(c) for eq in system.equations for c in eq.terms.values()} == {int}
+
     def test_runtime_under_one_second(self):
         start = time.perf_counter()
         derive_system(1)

@@ -17,7 +17,7 @@ import pytest
 import kdvmkdv
 from kdvmkdv import solver, waves
 from kdvmkdv.ansatz import PdeParams, derive_system
-from kdvmkdv.cli import _exact_or_none, main
+from kdvmkdv.cli import _exact_or_none, build_parser, main
 from kdvmkdv.elliptic import complete_K
 from kdvmkdv.solver import solve_closed_form
 
@@ -51,6 +51,20 @@ def test_timedep_verify_leaves_scipy_integrate_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def test_one_parser_serves_every_call(capsys):
+    """Calls that share the cached parser print what a freshly built one prints."""
+    calls = [["verify", "--perturb", "v=+0.1"], ["verify"], ["verify", "--perturb", "x=1"],
+             ["solve", "-m"], ["--help"], ["derive", "--order", "1"]]
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 0, 2, 2, 0, 0]
+    assert build_parser() is build_parser()
 
 
 class TestDerive:
@@ -94,6 +108,13 @@ class TestDerive:
             code, out, _ = run_cli(capsys, "derive", "--order", *argv)
             assert code == 0
             assert out == goldens[argv].read_text()
+
+    def test_order_four_text_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "derive", "--order", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fe5178157594d11adc00ad3b8cdd0ec4056176b2a78904a05e779566b74b6f72"
+        )
 
     def test_invalid_order_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "derive", "--order", "0")
@@ -216,6 +237,12 @@ class TestVerify:
     ])
     def test_decimals_and_fractions_are_read_exactly(self, text, value):
         assert _exact_or_none(text) == value
+
+    @pytest.mark.parametrize("text", [" 1e-400", "١.٥", "1_0"])
+    def test_every_finite_parameter_is_checked_exactly(self, capsys, text):
+        code, out, _ = run_cli(capsys, "verify", "-a", text)
+        assert code == 0
+        assert out.count("PASS exact") == 4
 
     def test_perturbing_an_unknown_name_is_usage_error(self, capsys):
         for spec in ("a=+1", "v=+0.1,x=1"):
@@ -505,6 +532,20 @@ class TestSweep:
         )
         assert code == 0
         assert out.count("status = ok") == 2
+        assert len(list(tmp_path.glob("run-*"))) == 2
+
+    def test_bad_value_is_reported_in_place(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "sweep", "--sweep-param", "m", "--sweep-values", "0.3,1.5,nan,0.5",
+            "--T", "0.02", "--outdir", str(tmp_path),
+        )
+        assert code == 2
+        assert err == ""
+        blocks = out.split("--- m = ")[1:]
+        assert [b.splitlines()[0] for b in blocks] == ["0.3 ---", "1.5 ---", "nan ---", "0.5 ---"]
+        assert blocks[1].splitlines()[1:] == ["error: elliptic parameter m=1.5 outside [0, 1]"]
+        assert blocks[2].splitlines()[1:] == ["error: elliptic parameter m=nan outside [0, 1]"]
+        assert "status = ok" in blocks[0] and "status = ok" in blocks[3]
         assert len(list(tmp_path.glob("run-*"))) == 2
 
 

@@ -51,6 +51,21 @@ def param_polys(draw):
 
 
 @st.composite
+def int_polys(draw):
+    """Polynomials built directly from int coefficients, not by ring operations."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        names = draw(st.lists(st.sampled_from(["a", "b", "m", "A", "v"]), max_size=3, unique=True))
+        mono = _mono(*((s, draw(st.integers(min_value=1, max_value=3))) for s in names))
+        terms[mono] = draw(st.integers(min_value=-12, max_value=12))
+    return P(terms)
+
+
+def as_fractions(p: ParamPoly) -> ParamPoly:
+    return P({mono: Fraction(c) for mono, c in p.terms.items()})
+
+
+@st.composite
 def elliptic_exprs(draw):
     expr = EllipticExpr.zero()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -264,6 +279,32 @@ class TestNormalization:
                 term = term * (P._coerce(mapping[s]) if s in mapping else sym(s)) ** e
             want = want + term
         assert p.substitute(mapping) == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=int_polys(), q=int_polys(), n=st.integers(min_value=0, max_value=3),
+           by_a=int_polys(), v_value=st.integers(min_value=-3, max_value=3))
+    def test_int_coefficients_agree_with_fractions(self, p, q, n, by_a, v_value):
+        """int and Fraction coefficients give equal results, hashes and text, and
+        integer arithmetic stays in int."""
+        fp, fq = as_fractions(p), as_fractions(q)
+        mapping = {"a": by_a, "v": v_value}
+        f_mapping = {"a": as_fractions(by_a), "v": Fraction(v_value)}
+        for got, want in [
+            (p + q, fp + fq),
+            (p * q, fp * fq),
+            (p**n, fp**n),
+            (p.substitute(mapping), fp.substitute(f_mapping)),
+            (p.normalized(("A", "m")), fp.normalized(("A", "m"))),
+        ]:
+            assert got == want and hash(got) == hash(want)
+            assert got.text() == want.text()
+            assert all(type(c) is int for c in got.terms.values())
+
+    def test_normalized_coefficients_are_ints(self):
+        p = P.const(Fraction(3, 4)) * sym("a") - P.const(Fraction(1, 6)) * sym("b")
+        norm = p.normalized()
+        assert norm == 9 * sym("a") - 2 * sym("b")
+        assert [type(c) for c in norm.terms.values()] == [int, int]
 
     def test_derivative(self):
         p = sym("v") ** 3 * sym("b") + sym("a")
