@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -41,6 +42,10 @@ VELOCITY_REL_TOL = 1e-3
 MASS_DRIFT_TOL = 1e-9
 QUAD_DRIFT_TOL = 1e-8
 CONSTRAINT_TOL = 1e-7
+# Largest decimal exponent read exactly: Fraction builds the power of ten first
+# (0.36 s for 1e-1000000), and float reads such a number as 0 or inf anyway.
+EXPONENT_LIMIT = 10_000
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
 
 # The exit code of each error class a command may end with; any other
 # ValueError is a usage error (EXIT_USAGE).
@@ -100,23 +105,25 @@ def _opt(args, filecfg: dict[str, str], name: str, default, conv=float):
     return default
 
 
-def _exact_or_none(text: str) -> Fraction | None:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
+def _exact(text: str) -> Fraction:
+    """Fraction(text); a decimal exponent beyond EXPONENT_LIMIT is refused first."""
+    match = _EXPONENT.search(text)
+    digits = match[1].replace("_", "").lstrip("0") if match else ""
+    if len(digits) > len(str(EXPONENT_LIMIT)) or int(digits or 0) > EXPONENT_LIMIT:
+        raise ValueError("decimal exponent of %r is beyond +-%d" % (text.strip(), EXPONENT_LIMIT))
+    return Fraction(text)
 
 
 class _Params:
     """Parameter set retaining both float values and exact rationals.
 
     Every text that float reads as a finite number Fraction reads too, and the
-    float values are checked first, so exact always holds all four."""
+    float values are checked first, so exact holds all four (or _exact refuses)."""
 
     def __init__(self, a: str, b: str, d: str, m: str):
         text = {"a": a, "b": b, "d": d, "m": m}
         self.floats = PdeParams(**{k: float(v) for k, v in text.items()})
-        self.exact = {k: Fraction(v) for k, v in text.items()}
+        self.exact = {k: _exact(v) for k, v in text.items()}
 
 
 def _params_from(args, filecfg) -> _Params:
@@ -178,10 +185,11 @@ def _parse_perturb(spec: str) -> dict[str, Fraction]:
     out = {}
     for piece in spec.split(","):
         name, _, delta = piece.partition("=")
-        val = _exact_or_none(delta)
         name = name.strip()
-        if not name or val is None:
-            raise argparse.ArgumentTypeError("bad perturbation %r (expected name=+delta)" % (piece,))
+        try:
+            val = _exact(delta)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError("bad perturbation %r (expected name=+delta): %s" % (piece, exc))
         if name not in PERTURBABLE:
             raise argparse.ArgumentTypeError(
                 "unknown perturbation name %r (expected one of %s)" % (name, ", ".join(PERTURBABLE))
@@ -316,11 +324,8 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         vel_err = abs(measured - fam.v) / max(abs(fam.v), 1e-30)
         rows = zip(ts[1:], v_avg, v_pred)
 
-    vel_path = rundir / "velocity.csv"
-    vel_lines = ["t,v_measured,v_predicted"]
-    for t, vm, vp in rows:
-        vel_lines.append("%s,%s,%s" % (_fmt(t), _fmt(vm), _fmt(vp)))
-    vel_path.write_text("\n".join(vel_lines) + "\n")
+    vel_lines = ["t,v_measured,v_predicted"] + ["%s,%s,%s" % tuple(map(_fmt, row)) for row in rows]
+    (rundir / "velocity.csv").write_text("\n".join(vel_lines) + "\n")
 
     ok = vel_err < VELOCITY_REL_TOL and dm < MASS_DRIFT_TOL and dq < QUAD_DRIFT_TOL
     summary = [
@@ -335,7 +340,6 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         "steps = %d" % (states.steps,),
         "rejected_steps = %d" % (states.rejected_steps,),
         "advective_cfl = %s" % (_fmt(report["advective_cfl"]),),
-        "linear_rotation = %s" % (_fmt(report["linear_rotation"]),),
     ]
     if tail is not None:
         summary += ["N = %d" % (N,), "spectral_tail = %s" % (_fmt(tail),)]

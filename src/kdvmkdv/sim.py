@@ -3,14 +3,14 @@
 The equation is advanced in flux form  u_t = -d_x(a*u^2/2 + b*u^3/3) - d*u_xxx
 on a domain of an integer number of elliptic periods, so an exact family
 profile is an exact steady translator of the semi-discrete system up to
-spectral tail error.  Time stepping is an integrating-factor (Lawson) RK4:
-the dispersive term rotates exactly in spectral space, the nonlinear flux is
+spectral tail error.  Time stepping is exponential time differencing RK4
+(ETDRK4): the dispersive term is integrated exactly, the nonlinear flux is
 evaluated pseudo-spectrally with zero-padding dealiasing (factor 2, exact for
-the cubic term).  Each step also yields an embedded third-order estimate of
-its local error at no extra flux evaluation (the last stage is the next
-step's first); controlled runs choose the step from it, fixed-step runs stop
-when it reveals an instability.  The stepper carries the real-FFT half
-spectrum of u; states hold the full spectrum.
+the cubic term).  Each step also yields an embedded estimate of its local
+error at no extra flux evaluation (the last stage is the next step's first);
+controlled runs choose the step from it, fixed-step runs stop when it shows a
+step too large for the run.  The stepper carries the real-FFT half spectrum
+of u; states hold the full spectrum.
 
 A time coefficient f(t) multiplying u_t is a change of clock: with h = 1/f,
 f(t)*u_t = -(flux)_x - d*u_xxx is the unit-f equation in the pseudo-time
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
+from math import factorial
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +36,17 @@ from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
 # Error control.  A step's estimate is the relative 2-norm of the gap between
-# the RK4 result and its embedded third-order companion; per unit tau (the
-# pseudo-time of the module docstring, t for unit f) it is held below RTOL in
-# controlled runs.  RTOL is set by accuracy: it keeps the
-# final L-inf error of the perfbench simulate waves (T=0.25) within 5e-10,
-# 20x inside the oracle's bound; each 10x tighter costs 2.15x the steps.
-RTOL = 1e-7
-# Weight of the top quarter of the spectrum in the estimate.  A resolved wave
-# has no content there, so error there is the onset of the Lawson step's
-# instability at large dispersive rotation; the weight lets the estimate see
-# it while it is still 1e-11 per unit time.
-NOISE_WEIGHT = 1e4
+# the ETDRK4 result and its embedded companion; per unit tau (the pseudo-time
+# of the module docstring, t for unit f) it is held below RTOL in controlled
+# runs.  RTOL is set by accuracy: the default wave's T=10 run ends 6.6e-10 from
+# the exact wave, inside 1e-9 (1.7e-9 at 1e-7), and the perfbench simulate
+# waves (T=0.25) within 1e-10; each 10x tighter costs 2.15x the steps.
+RTOL = 5e-8
 SAFETY = 0.9
 MAX_GROWTH, MIN_SHRINK = 5.0, 0.2  # bounds on the step ratio between steps
 MIN_STEP = 1e-12  # controlled steps below MIN_STEP times the run's span in tau count as a failure
-# Fixed-step estimate per unit tau that flags an unstable step: stable runs
-# stay below 1e-6, growing ones pass 1e-5 long before they overflow.
+# Fixed-step estimate per unit tau (200x RTOL) above which a step is too large:
+# the default wave's dt=0.02 on N=64 reads 4.1e-5 and is 6e-6 (relative) off at t=1.
 ESTIMATE_LIMIT = 1e-5
 # A fixed-step run maps its steps to tau with one quadrature call per block of
 # this many steps; a call holds about 0.9 kB of temporaries per step.
@@ -68,7 +64,7 @@ class SimulationBlowUp(RuntimeError):
 
 
 class StabilityError(RuntimeError):
-    """The configured time step violates the advective stability bound."""
+    """The time step exceeds the advective stability bound or is too large for the run."""
 
 
 class UnresolvedGrid(RuntimeError):
@@ -121,8 +117,7 @@ class SimState:
 
     @classmethod
     def from_field(cls, t: float, u: np.ndarray, L: float) -> "SimState":
-        uhat = np.fft.fft(u)
-        return cls.from_spectrum(t, uhat, L)
+        return cls.from_spectrum(t, np.fft.fft(u), L)
 
     @classmethod
     def from_spectrum(cls, t: float, uhat: np.ndarray, L: float) -> "SimState":
@@ -148,6 +143,34 @@ def _full_spectrum(vh: np.ndarray) -> np.ndarray:
     return np.concatenate([vh, np.conj(vh[M - 1 : 0 : -1])])
 
 
+# Taylor coefficients of Q/dt, f1/dt, f2/dt and f3/dt, a row per power of z = dt*L.
+_ETD_SERIES = np.array([[2.0 ** -(j + 1) / factorial(j + 1), (j + 1) ** 2 / factorial(j + 3),
+                         (j + 1) / factorial(j + 3), (1 - j) / factorial(j + 3)] for j in range(20)])
+
+
+def _etd_coefficients(lin: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """ETDRK4 factors of a step dt for the diagonal linear operator lin
+    (Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005) 1214).  With z = dt*lin:
+    E_half = e^(z/2), E = e^z, Q = dt*(e^(z/2) - 1)/z,
+    f1 = dt*(-4 - z + e^z*(4 - 3z + z^2))/z^3, f2 = dt*(2 + z + e^z*(z - 2))/z^3,
+    f3 = dt*(-4 - 3z - z^2 + e^z*(4 - z))/z^3; where |z| < 1 these closed forms
+    cancel, and 20 terms of their Taylor series (_ETD_SERIES) reach round-off."""
+    z = dt * lin
+    E_half = np.exp(z / 2.0)
+    E = E_half * E_half
+    small = np.abs(z) < 1.0
+    w = np.where(small, 1.0, z)  # any nonzero value where the series serves
+    w2, w3 = w * w, w * w * w
+    coef = np.array([
+        (E_half - 1.0) / w,
+        (-4.0 - w + E * (4.0 - 3.0 * w + w2)) / w3,
+        (2.0 + w + E * (w - 2.0)) / w3,
+        (-4.0 - 3.0 * w - w2 + E * (4.0 - w)) / w3,
+    ])
+    coef[:, small] = (np.vander(z[small], len(_ETD_SERIES), increasing=True) @ _ETD_SERIES).T
+    return (E_half, E, *(dt * coef))
+
+
 class _Stepper:
     """Precomputed operators for one configuration, acting on the real-FFT
     half spectrum (modes 0..N/2)."""
@@ -166,14 +189,12 @@ class _Stepper:
         self.pad = np.full(M + 1, 2.0)
         self.pad[M] = 1.0
         self.dx = -0.5j * self.k
-        self.err_weight = np.ones(M + 1)
-        self.err_weight[3 * M // 4 :] = NOISE_WEIGHT
-        self._ops = (None, None, None)  # (dt, factor over dt/2, factor over dt) of the last step
+        self._ops = (None,)  # (dt, *_etd_coefficients(lin, dt)) of the last step
 
     def _operators(self, dt: float) -> tuple:
-        """Integrating factors over a half step and a whole step of dt."""
+        """E_half, E, Q, f1, f2 and f3 of a step of dt."""
         if self._ops[0] != dt:
-            self._ops = (dt, np.exp(self.lin * dt / 2.0), np.exp(self.lin * dt))
+            self._ops = (dt, *_etd_coefficients(self.lin, dt))
         return self._ops[1:]
 
     def nonlinear(self, vh: np.ndarray) -> np.ndarray:
@@ -189,38 +210,35 @@ class _Stepper:
 
     def embedded_step(self, vh: np.ndarray, dt: float,
                       g1: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """One Lawson RK4 step of dt from vh given g1 = nonlinear(vh).
+        """One ETDRK4 step of dt from vh given g1 = nonlinear(vh) (Cox &
+        Matthews, J. Comput. Phys. 176 (2002) 430).
 
         Returns (out, g5, err): the fourth-order result, g5 = nonlinear(out)
-        (the next step's g1: first same as last), and the relative size
-        |out - out3| / |out| of its difference from the embedded third-order
-        result out3, which weights the stages (1/6, 1/3, 1/3, 0, 1/6) with g5
-        in place of g4, so out - out3 = (dt/6)(g4 - g5) (Balac & Mahe,
-        Comput. Phys. Commun. 184 (2013) 1211); the norm is the 2-norm over
-        the half spectrum, with the top quarter weighted by NOISE_WEIGHT.  A
-        step costs four calls of `nonlinear`; dt < 0 steps backward.  A
+        (the next step's g1: first same as last), and the relative 2-norm
+        |out - out3| / |out| over the half spectrum, where the embedded
+        companion out3 takes g5 in place of the last stage's flux g4, so
+        out - out3 = f3*(g4 - g5) (-> (dt/6)(g4 - g5) as dt*L -> 0).  A step
+        costs four calls of `nonlinear`; dt < 0 steps backward.  A
         non-finite result gives err = inf.
         """
-        E1, E2 = self._operators(dt)
-        E1vh, E2vh = E1 * vh, E2 * vh
-        u2 = E1 * (vh + (dt / 2.0) * g1)
+        E_half, E, Q, f1, f2, f3 = self._operators(dt)
+        E_half_vh = E_half * vh
+        u2 = E_half_vh + Q * g1
         g2 = self.nonlinear(u2)
-        u3 = E1vh + (dt / 2.0) * g2
-        g3 = self.nonlinear(u3)
-        u4 = E2vh + dt * E1 * g3
-        g4 = self.nonlinear(u4)
-        out = E2vh + (dt / 6.0) * (E2 * g1 + 2.0 * E1 * (g2 + g3) + g4)
+        g3 = self.nonlinear(E_half_vh + Q * g2)
+        g4 = self.nonlinear(E_half * u2 + Q * (2.0 * g3 - g1))
+        out = E * vh + f1 * g1 + 2.0 * f2 * (g2 + g3) + f3 * g4
         if not np.all(np.isfinite(out)):
             return out, g1, np.inf
         g5 = self.nonlinear(out)
-        gap, scale = self.err_weight * (g4 - g5), np.vdot(out, out).real
-        err = (abs(dt) / 6.0) * float(np.sqrt(np.vdot(gap, gap).real / scale)) if scale > 0.0 else 0.0
+        gap, scale = f3 * (g4 - g5), np.vdot(out, out).real
+        err = float(np.sqrt(np.vdot(gap, gap).real / scale)) if scale > 0.0 else 0.0
         return out, g5, err
 
 
 def spectral_tail(u: np.ndarray) -> float:
-    """Largest mode in the top quarter of the real-FFT half spectrum of u
-    (the modes NOISE_WEIGHT weights), relative to the largest mode."""
+    """Largest mode in the top quarter of the real-FFT half spectrum of u,
+    relative to the largest mode."""
     mags = np.abs(np.fft.rfft(u))
     peak = float(np.max(mags))
     return float(np.max(mags[3 * (u.size // 2) // 4 :])) / peak if peak > 0.0 else 0.0
@@ -233,9 +251,9 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
     spectral tail TAIL_DROP-fold and the tail is at most TAIL_RESOLVED, or
     N_MAX.  Returns (N, its tail).
 
-    A finer grid than the profile needs costs steps as well as time: the
-    Lawson step goes unstable sooner at a larger d*k_max^3*dt.  The profile
-    translates rigidly for any f, so its tail at t0 holds for the whole run.
+    A finer grid than the profile needs costs time in every step.  The
+    profile translates rigidly for any f, so its tail at t0 holds for the
+    whole run.
     """
     def tail(n: int) -> float:
         return spectral_tail(evaluate(fam, replace(cfg, N=n).grid(), cfg.t0, law))
@@ -250,24 +268,14 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
 
 
 def stability_report(cfg: SimConfig, u0: np.ndarray) -> dict[str, float]:
-    """Stability numbers of a step of cfg.dt in the pseudo-time tau, which is
-    the time t itself for unit f.
-
-    advective_cfl is checked against the RK4 bound before a fixed-step run and
-    caps the controlled step; linear_rotation is the per-step dispersive phase
-    at the largest mode, recorded for reference (the integrating factor
-    rotates it exactly, but a large one lets the Lawson step go unstable over
-    a long run, which the per-step error estimate detects).  The stepper
-    steps in tau, so neither number depends on f.
-    """
-    a, b, d, _ = cfg.p.as_floats()
+    """Stability number of a step of cfg.dt in the pseudo-time tau (t for
+    unit f): advective_cfl, checked against the RK4 bound before a fixed-step
+    run and capping the controlled step.  The dispersive term, integrated
+    exactly, sets no bound; the stepper steps in tau, so f does not enter."""
+    a, b, _, _ = cfg.p.as_floats()
     k_max = float(np.max(np.abs(_wavenumbers(cfg.N, cfg.length))))
     speed = float(np.max(np.abs(a * u0 + b * u0**2)))
-    return {
-        "advective_cfl": cfg.dt * k_max * speed,
-        "linear_rotation": cfg.dt * abs(d) * k_max**3,
-        "stability_limit": RK4_IMAG_STABILITY,
-    }
+    return {"advective_cfl": cfg.dt * k_max * speed}
 
 
 def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None) -> SimState:
@@ -316,11 +324,11 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     spans the pseudo-time of [t_i, t_i + dt] (_step_spans).  Such a run is
     refused up front when the advective CFL number of its largest step
     exceeds the RK4 bound, and stopped when a step's error estimate per unit
-    tau exceeds ESTIMATE_LIMIT, a sign that the Lawson scheme has gone
-    unstable; both raise StabilityError.  Controlled runs choose each step so
-    that the estimate per unit tau stays below RTOL and land exactly on the
-    snapshot times.  A step that gives non-finite values raises
-    SimulationBlowUp in either kind of run.
+    tau exceeds ESTIMATE_LIMIT, a step too large for the run; both raise
+    StabilityError.  Controlled runs choose each step so that the estimate
+    per unit tau stays below RTOL and land exactly on the snapshot times.  A
+    step that gives non-finite values raises SimulationBlowUp in either kind
+    of run.
     """
     if cfg.adaptive:
         return _run_controlled(_Stepper(cfg), state0, snapshots)
@@ -331,12 +339,9 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     ts = state0.t + cfg.dt * np.arange(n_steps + 1)
     dtaus = _step_spans(cfg, ts)
     dt_max = float(np.max(np.abs(dtaus)))
-    rep = stability_report(replace(cfg, dt=dt_max), state0.field())
-    if rep["advective_cfl"] > rep["stability_limit"]:
-        raise StabilityError(
-            "advective CFL %.3g exceeds RK4 bound %.3g; reduce dt"
-            % (rep["advective_cfl"], rep["stability_limit"])
-        )
+    cfl = stability_report(replace(cfg, dt=dt_max), state0.field())["advective_cfl"]
+    if cfl > RK4_IMAG_STABILITY:
+        raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
     stride = max(1, n_steps // max(1, snapshots - 1))
     states = Trajectory([state0])
     vh = state0.uhat[: cfg.N // 2 + 1]
@@ -347,7 +352,7 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
             raise _blow_up(t)
         if err > ESTIMATE_LIMIT * abs(dtau):
             raise StabilityError(
-                "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is unstable "
+                "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is too large "
                 "for this run; reduce dt or let the step be chosen by error control"
                 % (err / abs(dtau), t, ESTIMATE_LIMIT, cfg.dt)
             )
@@ -360,22 +365,18 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
 def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Trajectory:
     """Error-controlled stepping: accept a step when its estimate per unit
     tau is at most RTOL, and propose the next by the third-order rule
-    dt * SAFETY * (RTOL / estimate)^(1/3), capped by the advective CFL bound
-    and, after a rejection, by the step proposed then.  A steady wave's
-    error per step does not shrink later, and growth of the Lawson
-    instability only raises it, so a run that met the instability's edge
-    stays below it instead of climbing back and being rejected again.  Each
-    snapshot interval is planned as equal steps that end on its end
-    pseudo-time; the plan, and so the integrating factors, change only when
+    dt * SAFETY * (RTOL / estimate)^(1/3), capped by the advective CFL bound.
+    Each snapshot interval is planned as equal steps that end on its end
+    pseudo-time; the plan, and so the ETDRK4 coefficients, change only when
     the proposal no longer fits it.  A negative f runs tau backward."""
     cfg = stepper.cfg
     n_int = max(1, snapshots - 1)
     ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
     taus = (state0.t + cfg.f.integral_h(state0.t, ts)).tolist()
     ts = ts.tolist()
-    rep = stability_report(cfg, state0.field())
+    cfl = stability_report(cfg, state0.field())["advective_cfl"]
     span = abs(taus[-1] - taus[0])
-    cap = cfg.dt * rep["stability_limit"] / rep["advective_cfl"] if rep["advective_cfl"] > 0 else span
+    cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
     states = Trajectory([state0])
     vh, tau = state0.uhat[: cfg.N // 2 + 1], taus[0]
     g = stepper.nonlinear(vh)
@@ -405,8 +406,6 @@ def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Traj
                 states.rejected_steps += 1
             grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
             dt = min(cap, abs(h) * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
-            if ratio > 1.0:
-                cap = dt  # no later step returns to the size that failed
             if dt < MIN_STEP * span:
                 raise StabilityError(
                     "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
@@ -425,10 +424,7 @@ def spectral_residual(fam: SolutionFamily, N: int = 256, window_length: float = 
     divergent elliptic period.
     """
     a, b, d, m = fam.params.as_floats()
-    if m == 1.0:
-        L = window_length
-    else:
-        L = 4.0 * elliptic.complete_K(m)
+    L = window_length if m == 1.0 else 4.0 * elliptic.complete_K(m)
     x = -L / 2.0 + L * np.arange(N) / N
     u = np.asarray(evaluate(fam, x, 0.0), dtype=float)
     k = _wavenumbers(N, L)

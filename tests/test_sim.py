@@ -124,12 +124,12 @@ class TestStep:
             assert np.max(np.abs(uh - np.conj(uh[np.r_[0, cfg.N - 1 : 0 : -1]]))) < 1e-9
 
     def test_blow_up_detection(self, cnoidal, monkeypatch):
-        # with both stability gates open, the unstable step runs on until its
-        # values stop being finite
+        # with both step gates open, a step far beyond the advective bound
+        # runs on until its values stop being finite (at t=7)
         monkeypatch.setattr(sim, "RK4_IMAG_STABILITY", np.inf)
         monkeypatch.setattr(sim, "ESTIMATE_LIMIT", np.inf)
         p, fam = cnoidal
-        cfg = SimConfig(p=p, N=128, dt=0.3, T=3.0)
+        cfg = SimConfig(p=p, N=128, dt=1.0, T=10.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SimulationBlowUp):
                 run(cfg, init_from_family(cfg, fam))
@@ -178,17 +178,52 @@ class TestStep:
         assert np.max(np.abs(fields[0] + fields[1])) < 1e-13
 
 
+class TestCoefficients:
+    @pytest.mark.parametrize("dt", [1e-2, -1e-2])
+    def test_coefficients_match_an_mpmath_oracle(self, dt):
+        # both sides of |z| = 1, where the closed forms take over from the series
+        mpmath = pytest.importorskip("mpmath")
+        lin = np.array([0, 1e-8j, 0.5j, 0.999j, 1.001j, 50j, 2e5j]) / dt
+        got = sim._etd_coefficients(lin, dt)
+        with mpmath.workdps(60):
+            h = mpmath.mpf(dt)
+            for i, z in enumerate((dt * lin).tolist()):  # the z the factors are built from
+                z = mpmath.mpc(z)
+                e, e_half = mpmath.exp(z), mpmath.exp(z / 2)
+                if z == 0:
+                    exact = [1, 1, h / 2, h / 6, h / 6, h / 6]
+                else:
+                    exact = [e_half, e, h * (e_half - 1) / z,
+                             h * (-4 - z + e * (4 - 3 * z + z * z)) / z**3,
+                             h * (2 + z + e * (z - 2)) / z**3,
+                             h * (-4 - 3 * z - z * z + e * (4 - z)) / z**3]
+                for c, want in zip(got, exact):
+                    want = complex(want)
+                    assert abs(c[i] - want) <= 1e-13 * abs(want)
+
+
 class TestErrorControl:
     def test_error_estimate_is_fourth_order_in_the_step(self, cnoidal):
-        # one step from the exact profile: the gap to the embedded third-order
-        # result is O(dt^4)
+        # one step from the exact profile, and from the profile scaled by 1.01,
+        # which is not a solution: the gap to the embedded companion is O(dt^4)
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=128)
-        vh = init_from_family(cfg, fam).uhat[: cfg.N // 2 + 1]
         stepper = sim._Stepper(cfg)
-        g1 = stepper.nonlinear(vh)
-        coarse, fine = (stepper.embedded_step(vh, dt, g1)[2] for dt in (2e-3, 1e-3))
-        assert 12.0 <= coarse / fine <= 20.0
+        for scale in (1.0, 1.01):
+            vh = scale * init_from_family(cfg, fam).uhat[: cfg.N // 2 + 1]
+            g1 = stepper.nonlinear(vh)
+            coarse, fine = (stepper.embedded_step(vh, dt, g1)[2] for dt in (2e-3, 1e-3))
+            assert 12.0 <= coarse / fine <= 20.0
+
+    def test_controlled_run_of_a_state_that_is_no_wave(self, cnoidal):
+        # the default wave scaled by 1.01 evolves; a fixed run of 20 000 steps
+        # is the reference
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, T=1.0, adaptive=True)
+        state0 = SimState.from_field(0.0, 1.01 * waves.evaluate(fam, cfg.grid(), 0.0), cfg.length)
+        got = run(cfg, state0, snapshots=2)[-1].field()
+        ref = run(replace(cfg, dt=1.0 / 20_000, adaptive=False), state0, snapshots=2)[-1].field()
+        assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(ref))
 
     def test_fixed_run_reuses_the_last_stage(self, cnoidal, monkeypatch):
         # first same as last: n steps cost 4n + 1 flux evaluations
@@ -221,16 +256,14 @@ class TestErrorControl:
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-9 * np.max(np.abs(exact))
         assert states.steps <= 1000
 
-    def test_controlled_run_backs_off_the_instability_once(self, cnoidal):
-        # the accurate step of the default wave at N=256 turns the Lawson step
-        # unstable after t=2; the controller stays below the step that was
-        # rejected instead of climbing back to it (734 rejections by T=4)
+    def test_controlled_fine_grid_run_needs_no_rejection(self, cnoidal):
+        # a grid finer than the wave needs does not shrink the accurate step
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=256, T=4.0, adaptive=True)
         states = run(cfg, init_from_family(cfg, fam))
         exact = waves.evaluate(fam, cfg.grid(), 4.0)
         assert np.max(np.abs(states[-1].field() - exact)) < 1e-9
-        assert 0 < states.rejected_steps <= 10
+        assert states.rejected_steps == 0 and states.steps <= 6000
 
 
 KINKED_TABLE = "tab:0.5:1.00000,1.02:1.44000,2.2:1.07000,3.4:1.49000,4.7:1.59000,6:0.67000"
