@@ -8,7 +8,7 @@ variant of the equation through its velocity law.
 
 from .ansatz import AlgebraicSystem, AnsatzSpec, PdeParams, build_ansatz, derive_system
 from .elliptic import EllipticTriple, complete_K, jacobi
-from .solver import SolutionFamily, back_substitute_exact, solve_closed_form, solve_numeric
+from .solver import SolutionFamily, solve_closed_form, solve_numeric
 from .symexpr import EllipticExpr, EllipticMonomial, ParamPoly
 from .waves import VelocityLaw, evaluate, hyperbolic_limit, velocity_at, velocity_paper_form
 
@@ -22,7 +22,6 @@ __all__ = [
     "PdeParams",
     "SolutionFamily",
     "VelocityLaw",
-    "back_substitute_exact",
     "build_ansatz",
     "complete_K",
     "derive_system",

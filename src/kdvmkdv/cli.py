@@ -55,6 +55,7 @@ ERROR_EXITS = {
     sim.SimulationBlowUp: EXIT_NUMERICAL,
     sim.StabilityError: EXIT_NUMERICAL,
     sim.UnresolvedGrid: EXIT_NUMERICAL,
+    sim.PhaseAliasing: EXIT_NUMERICAL,
     waves.CoefficientSingularity: EXIT_NUMERICAL,
 }
 
@@ -261,7 +262,6 @@ def cmd_verify(args) -> int:
 
 
 def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
-    lines: list[str] = []
     p = params.floats
     N = _opt(args, filecfg, "N", None, int)  # none given: chosen from the profile's spectrum
     dt = _opt(args, filecfg, "dt", None)  # none given: the step is error-controlled
@@ -293,60 +293,32 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     tail = None
     if N is None:
         N, tail = sim.choose_N(cfg, fam, law)
-        if tail > sim.TAIL_RESOLVED:
-            raise sim.UnresolvedGrid(
-                "no grid up to N=%d resolves the profile (spectral tail %.2g > %.2g); pass --N to "
-                "run on a grid of your choice" % (N, tail, sim.TAIL_RESOLVED)
-            )
         cfg = replace(cfg, N=N)
-    state0 = sim.init_from_family(cfg, fam, law)
-    states = sim.run(cfg, state0)
-    report = sim.stability_report(replace(cfg, dt=states.dt_max), state0.field())
-    dm, dq = sim.conservation_drift(states)
-    ts, ps = sim.track_positions(states, cfg)
-
-    outdir = Path(args.outdir)
-    rundir = sim.write_snapshots(states, cfg, outdir)
-
-    if timedep:
-        t_nonzero = ts[1:]
-        p_abs = waves.wave_position(law, t0) + ps[1:]
-        v_meas = p_abs / t_nonzero
-        v_pred = waves.velocity_at(law, t_nonzero)
-        vel_err = float(np.max(np.abs(v_meas - v_pred) / np.maximum(np.abs(v_pred), 1e-30)))
-        rows = zip(t_nonzero, v_meas, v_pred)
-        measured, fit_resid = float(v_meas[-1]), float("nan")
-    else:
-        measured, fit_resid = sim.measure_velocity(states, cfg)
-        v_pred = np.full(ts[1:].shape, fam.v)
-        with np.errstate(invalid="ignore"):
-            v_avg = ps[1:] / (ts[1:] - ts[0])
-        vel_err = abs(measured - fam.v) / max(abs(fam.v), 1e-30)
-        rows = zip(ts[1:], v_avg, v_pred)
-
-    vel_lines = ["t,v_measured,v_predicted"] + ["%s,%s,%s" % tuple(map(_fmt, row)) for row in rows]
+    result = sim.simulate(cfg, fam, law)
+    rundir = sim.write_snapshots(result.states, cfg, args.outdir)
+    vel_lines = ["t,v_measured,v_predicted"] + ["%s,%s,%s" % tuple(map(_fmt, row)) for row in result.velocity_rows]
     (rundir / "velocity.csv").write_text("\n".join(vel_lines) + "\n")
 
-    ok = vel_err < VELOCITY_REL_TOL and dm < MASS_DRIFT_TOL and dq < QUAD_DRIFT_TOL
+    ok = (result.velocity_rel_error < VELOCITY_REL_TOL and result.mass_drift < MASS_DRIFT_TOL
+          and result.quad_drift < QUAD_DRIFT_TOL)
     summary = [
         "run = %s" % (rundir.name,),
         "family = %s" % (fam.class_label,),
-        "v_predicted = %s" % (_fmt(v_pred[-1]),),
-        "v_measured = %s" % (_fmt(measured),),
-        "velocity_rel_error = %s" % (_fmt(vel_err),),
-        "fit_residual = %s" % (_fmt(fit_resid),),
-        "mass_drift = %s" % (_fmt(dm),),
-        "quad_drift = %s" % (_fmt(dq),),
-        "steps = %d" % (states.steps,),
-        "rejected_steps = %d" % (states.rejected_steps,),
-        "advective_cfl = %s" % (_fmt(report["advective_cfl"]),),
+        "v_predicted = %s" % (_fmt(result.velocity_rows[-1, 2]),),
+        "v_measured = %s" % (_fmt(result.v_measured),),
+        "velocity_rel_error = %s" % (_fmt(result.velocity_rel_error),),
+        "fit_residual = %s" % (_fmt(result.fit_residual),),
+        "mass_drift = %s" % (_fmt(result.mass_drift),),
+        "quad_drift = %s" % (_fmt(result.quad_drift),),
+        "steps = %d" % (result.states.steps,),
+        "rejected_steps = %d" % (result.states.rejected_steps,),
+        "advective_cfl = %s" % (_fmt(result.advective_cfl),),
     ]
     if tail is not None:
         summary += ["N = %d" % (N,), "spectral_tail = %s" % (_fmt(tail),)]
     summary.append("status = %s" % ("ok" if ok else "velocity-or-drift-out-of-bounds",))
     (rundir / "summary.txt").write_text("\n".join(summary) + "\n")
-    lines.extend(summary)
-    return (EXIT_OK if ok else EXIT_VERIFY_FAIL), lines
+    return (EXIT_OK if ok else EXIT_VERIFY_FAIL), summary
 
 
 def cmd_simulate(args) -> int:

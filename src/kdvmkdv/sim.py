@@ -32,7 +32,7 @@ import numpy as np
 from . import elliptic
 from .ansatz import PdeParams
 from .solver import SolutionFamily
-from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate
+from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate, velocity_at, wave_position
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
 # Error control.  A step's estimate is the relative 2-norm of the gap between
@@ -69,6 +69,10 @@ class StabilityError(RuntimeError):
 
 class UnresolvedGrid(RuntimeError):
     """No grid up to N_MAX resolves the initial profile."""
+
+
+class PhaseAliasing(RuntimeError):
+    """The wave moves too far between snapshots for its phase to be unwrapped."""
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,9 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
     """Grid size for the family profile at cfg.t0, by Boyd's truncation rule
     (Chebyshev and Fourier Spectral Methods, 2nd ed., sec. 2.12): the
     smallest power of two N >= N_MIN at which doubling N no longer lowers the
-    spectral tail TAIL_DROP-fold and the tail is at most TAIL_RESOLVED, or
-    N_MAX.  Returns (N, its tail).
+    spectral tail TAIL_DROP-fold and the tail is at most TAIL_RESOLVED.
+    Returns (N, its tail); raises UnresolvedGrid when N_MAX leaves a tail
+    above TAIL_RESOLVED.
 
     A finer grid than the profile needs costs time in every step.  The
     profile translates rigidly for any f, so its tail at t0 holds for the
@@ -264,6 +269,9 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
         if t <= TAIL_RESOLVED and not finer * TAIL_DROP < t:
             break
         N, t = 2 * N, finer
+    if t > TAIL_RESOLVED:
+        raise UnresolvedGrid("no grid up to N=%d resolves the profile (spectral tail %.2g > %.2g); pass --N to "
+                             "run on a grid of your choice" % (N, t, TAIL_RESOLVED))
     return N, t
 
 
@@ -458,12 +466,11 @@ def track_positions(states: list[SimState], cfg: SimConfig) -> tuple[np.ndarray,
     return ts, (phases[0] - phases) / k
 
 
-def measure_velocity(states: list[SimState], cfg: SimConfig) -> tuple[float, float]:
-    """Translation speed by least-squares fit of the phase displacement;
-    returns (speed, max residual of the linear fit)."""
-    if len(states) < 3:
+def measure_velocity(ts: np.ndarray, ps: np.ndarray) -> tuple[float, float]:
+    """Translation speed by least-squares fit of the displacements ps at the
+    times ts (track_positions); returns (speed, max residual of the linear fit)."""
+    if len(ts) < 3:
         raise ValueError("need at least 3 snapshots")
-    ts, ps = track_positions(states, cfg)
     coef = np.polyfit(ts, ps, 1)
     resid = float(np.max(np.abs(ps - np.polyval(coef, ts))))
     return float(coef[0]), resid
@@ -475,6 +482,58 @@ def conservation_drift(states: list[SimState]) -> tuple[float, float]:
     dm = max(abs(s.mass - m0) for s in states) / max(abs(m0), 1e-30)
     dq = max(abs(s.quad - q0) for s in states) / max(abs(q0), 1e-30)
     return dm, dq
+
+
+@dataclass(frozen=True)
+class Simulation:
+    """A run of a family wave and what it measured.
+
+    velocity_rows holds (t, v_measured, v_predicted) for each snapshot after
+    the first.  For a constant law a row's v_measured is the mean speed since
+    t0; the record's v_measured is the slope fitted to all positions, and
+    fit_residual that fit's largest residual.  For a time-dependent law
+    v_measured is position/t, the record's at the last snapshot; fit_residual
+    is nan and velocity_rel_error the largest over the rows."""
+
+    cfg: SimConfig
+    states: Trajectory
+    advective_cfl: float  # at the largest accepted step
+    mass_drift: float
+    quad_drift: float
+    velocity_rows: np.ndarray
+    v_measured: float
+    velocity_rel_error: float
+    fit_residual: float
+
+
+def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulation:
+    """Run the family wave from cfg.t0 over cfg.T and measure its speed
+    against law; does no I/O.  Raises PhaseAliasing when the law moves the
+    wave by L/(2n) or more between two snapshots, n the dominant mode: the
+    unwrapped phase of track_positions would then alias."""
+    state0 = init_from_family(cfg, fam, law)
+    states = run(cfg, state0)
+    cfl = stability_report(replace(cfg, dt=states.dt_max), state0.field())["advective_cfl"]
+    dm, dq = conservation_drift(states)
+    ts, ps = track_positions(states, cfg)
+    shift = float(np.max(np.abs(np.diff(wave_position(law, ts)))))
+    limit = cfg.length / (2.0 * dominant_mode(states[0]))
+    if not shift < limit:
+        raise PhaseAliasing("the wave moves %.4g between snapshots, at least L/(2n) = %.4g for its dominant "
+                            "mode n, so its phase cannot be unwrapped; shorten T" % (shift, limit))
+    if law.kind == "constant":
+        measured, fit_resid = measure_velocity(ts, ps)
+        v_pred = np.full(ts[1:].shape, law.C)
+        with np.errstate(invalid="ignore"):
+            v_meas = ps[1:] / (ts[1:] - ts[0])
+        vel_err = abs(measured - law.C) / max(abs(law.C), 1e-30)
+    else:
+        v_meas = (wave_position(law, cfg.t0) + ps[1:]) / ts[1:]
+        v_pred = velocity_at(law, ts[1:])
+        vel_err = float(np.max(np.abs(v_meas - v_pred) / np.maximum(np.abs(v_pred), 1e-30)))
+        measured, fit_resid = float(v_meas[-1]), float("nan")
+    return Simulation(cfg, states, cfl, dm, dq, np.column_stack((ts[1:], v_meas, v_pred)),
+                      measured, vel_err, fit_resid)
 
 
 def config_hash(cfg: SimConfig) -> str:

@@ -182,25 +182,6 @@ def specialize(
     return [r.substitute(numbers) for r in residuals]
 
 
-def back_substitute_exact(
-    system: AlgebraicSystem,
-    params: dict[str, Fraction] | None = None,
-    sign_A: int = 1,
-    sign_B: int = 1,
-    perturb: dict[str, Fraction] | None = None,
-) -> list[ParamPoly]:
-    """Substitute the closed forms of one family into every equation, exactly.
-
-    The residuals are in normal form in a, b, d, m, binv = 1/b and the formal
-    roots sqrtm, sqrtq; with a rational params dict, the numbers for a, b, d,
-    m and binv are substituted into that normal form, which leaves it the
-    normal form of the rational case.  A correct family reduces every
-    equation to the zero polynomial.  perturb is as in
-    `back_substitute_generic`.
-    """
-    return specialize(back_substitute_generic(system, perturb), sign_A, sign_B, params)
-
-
 def residuals_numeric(family: SolutionFamily, system: AlgebraicSystem) -> list[float]:
     """Float residual of each equation at the family's values: a numeric
     oracle for the exact back-substitution, independent of its reduction."""

@@ -401,14 +401,6 @@ class EllipticExpr:
     def sn(cls, power: int = 1) -> "EllipticExpr":
         return cls({EllipticMonomial(power, 0, 0): ParamPoly.const(1)})
 
-    @classmethod
-    def cn(cls) -> "EllipticExpr":
-        return cls({EllipticMonomial(0, 1, 0): ParamPoly.const(1)})
-
-    @classmethod
-    def dn(cls) -> "EllipticExpr":
-        return cls({EllipticMonomial(0, 0, 1): ParamPoly.const(1)})
-
     # -- algebra -------------------------------------------------------------
 
     @property

@@ -395,13 +395,8 @@ def evaluate(fam: SolutionFamily, x, t: float, law: VelocityLaw | None = None):
     if law is None:
         law = VelocityLaw.constant(fam.v)
     xi = np.asarray(x, dtype=float) - wave_position(law, t)
-    m = float(fam.params.m)
-    if m == 1.0:
-        sech = elliptic.sech(xi)
-        u = fam.A * sech + fam.B * sech + fam.D
-    else:
-        sn, cn, dn = elliptic.jacobi(xi, m)
-        u = fam.A * cn + fam.B * dn + fam.D
+    sn, cn, dn = elliptic.jacobi(xi, float(fam.params.m))
+    u = fam.A * cn + fam.B * dn + fam.D
     return u if np.ndim(x) else float(u)
 
 

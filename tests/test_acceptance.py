@@ -14,7 +14,7 @@ import pytest
 from kdvmkdv import elliptic, sim, waves
 from kdvmkdv.ansatz import PdeParams, derive_system
 from kdvmkdv.cli import main
-from kdvmkdv.solver import SIGN_PAIRS, back_substitute_exact, solve_closed_form
+from kdvmkdv.solver import SIGN_PAIRS, back_substitute_generic, solve_closed_form, specialize
 from kdvmkdv.symexpr import ParamPoly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,11 +59,11 @@ def test_criterion_2_exact_zero_verification(capsys):
     start = time.perf_counter()
     system = derive_system(1)
     for sa, sb in SIGN_PAIRS:
-        residuals = back_substitute_exact(system, params=None, sign_A=sa, sign_B=sb)
+        residuals = specialize(back_substitute_generic(system), sa, sb)
         assert all(r.is_zero for r in residuals)
     # and at an exact rational parameter point
     params = {"a": Fraction(2), "b": Fraction(3), "d": Fraction(6), "m": Fraction(3, 4)}
-    residuals = back_substitute_exact(system, params=params)
+    residuals = specialize(back_substitute_generic(system), 1, 1, params)
     assert all(r.is_zero for r in residuals)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -108,9 +108,8 @@ def test_criterion_5_velocity_by_simulation(capsys):
     p = PdeParams(0.0, 1.0, 1.0, 0.5)
     fam = solve_closed_form(p)[0]
     cfg = sim.SimConfig(p=p, N=256, dt=1e-4, T=1.0)
-    states = sim.run(cfg, sim.init_from_family(cfg, fam))
-    v, _ = sim.measure_velocity(states, cfg)
-    dm, dq = sim.conservation_drift(states)
+    result = sim.simulate(cfg, fam, waves.VelocityLaw.constant(fam.v))
+    v, dm, dq = result.v_measured, result.mass_drift, result.quad_drift
     assert v == pytest.approx(0.75, abs=1e-3)
     assert dm < 1e-9
     assert dq < 1e-8

@@ -353,6 +353,34 @@ class TestSimulate:
         assert code == 4
         assert "CFL" in err or "non-finite" in err
 
+    def test_too_few_snapshots_is_usage_error_and_writes_nothing(self, capsys, tmp_path):
+        # one step leaves two snapshots, too few to fit a speed to; the run is
+        # measured before anything is written
+        code, out, err = run_cli(capsys, "simulate", "--dt", "1e-3", "--T", "1e-3", "--outdir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: need at least 3 snapshots\n")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["--dt", "2e-3", "--T", "8"],
+        ["--f", "exp:-0.2", "--dt", "1e-3", "--T", "3.3"],
+    ], ids=["unit-f", "exp-f"])
+    def test_aliased_phase_is_numerical_failure(self, capsys, tmp_path, argv):
+        # the wave (C = -24.25) moves 3.88 per snapshot interval with unit f
+        # (the unwrapped phase read v = 22.1), and 3.757 in the last interval
+        # with h = 1/f = e^(0.2t) (2.77 on average): both beyond half the
+        # period of the dominant mode, L/(2n) = 3.708
+        code, out, err = run_cli(capsys, "simulate", "-a=-10", "-b", "1", "-d", "1", "-m", "0.5", *argv,
+                                 "--outdir", str(tmp_path))
+        assert code == 4 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "unwrap" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_fast_wave_inside_the_phase_limit_is_measured(self, capsys, tmp_path):
+        # 3.395 per interval is inside L/(2n) = 3.708
+        code, out, _ = run_cli(capsys, "simulate", "-a=-10", "-b", "1", "-d", "1", "-m", "0.5", "--dt", "2e-3",
+                               "--T", "7", "--outdir", str(tmp_path))
+        assert code == 0 and "v_measured = -24.249999045206739" in out
+
     def test_final_time_below_one_step_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "simulate", "--T", "1e-5", "--outdir", str(tmp_path))
         assert code == 2
@@ -498,20 +526,26 @@ class TestGridChoice:
         assert summary["N"] == "64" and float(summary["spectral_tail"]) < 1e-15
 
     @pytest.mark.parametrize("argv,name,digest", [
-        (["--N", "128"], "run-6aac0514c16e",
+        (["--N", "128", "--T", "0.05"], "run-6aac0514c16e",
          "642140979b7f2a7899d04ac41b6f3d737f878fe8d760512df3fc4cfbb0e04bd6"),
-        (["--N", "128", "--dt", "1e-3"], "run-c10dac445bd1",
+        (["--N", "128", "--dt", "1e-3", "--T", "0.05"], "run-c10dac445bd1",
          "05ffeb7bf2fdddb1d24e39d2f2ec5a652b71ed41c71e001b7ab5576d299f0d98"),
-    ], ids=["controlled", "fixed"])
+        (["--N", "128", "--f", "exp:0.5", "--T", "0.05"], "run-284174158d48",
+         "e733602005cc0f76622067c7c34ea988be307035065adc8c0c3e8cb6ac2297e2"),
+        (["--N", "128", "--dt", "1e-3", "--f", "poly:1,0.2", "--T", "0.05"], "run-9f64f0b92598",
+         "7aa8131518891b0446eab6b4ef56066f90d895b11154c83e1b6d79c86971237b"),
+        (["-m", "1", "--window-length", "60", "--T", "0.02"], "run-5536f228013c",
+         "85cf99f634473a8d7755f5534754a4ac8bd9b641131738cc61221403fc80b61d"),
+    ], ids=["controlled", "fixed", "exp-controlled", "poly-fixed", "windowed-m1"])
     def test_explicit_grid_writes_the_same_directory_as_before(self, capsys, tmp_path, argv, name, digest):
         # the directory name written before N was chosen from the spectrum,
         # and the sha256 of its files in name order, as the ETDRK4 step writes
-        # them
-        code, out, _ = run_cli(capsys, "simulate", *argv, "--T", "0.05", "--outdir", str(tmp_path))
+        # them; the windowed m=1 run chooses its grid (N=1024)
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--outdir", str(tmp_path))
         assert code == 0
         rundir = next(tmp_path.glob("run-*"))
         assert rundir.name == name
-        assert "N" not in self._summary(out)
+        assert ("N" in self._summary(out)) == ("--N" not in argv)
         body = b"".join(f.read_bytes() for f in sorted(rundir.iterdir()))
         assert hashlib.sha256(body).hexdigest() == digest
 

@@ -372,11 +372,12 @@ class TestGridChoice:
 
     def test_unresolvable_profile_stops_at_the_cap(self):
         # a sech of unit width on a window of 4000 is a lone spike on 64
-        # points, whose spectrum is flat: the search goes on past it
+        # points, whose spectrum is flat: the search goes on past it, to the
+        # cap, and refuses the grid it ends on
         p = PdeParams(0, 1, 1, 1.0)
         fam = solve_closed_form(p)[0]
-        N, tail = sim.choose_N(SimConfig(p=p, window_length=4000.0), fam)
-        assert N == sim.N_MAX and tail > sim.TAIL_RESOLVED
+        with pytest.raises(sim.UnresolvedGrid, match="no grid up to N=%d" % sim.N_MAX):
+            sim.choose_N(SimConfig(p=p, window_length=4000.0), fam)
 
 
 class TestConservation:
@@ -439,15 +440,14 @@ class TestMeasurement:
         x = cfg.grid()
         prof = lambda s: np.cos(2 * np.pi * (x - s) / L) + 0.3 * np.sin(4 * np.pi * (x - s) / L)
         states = [SimState.from_field(t, prof(0.3 * t), L) for t in np.linspace(0, 1, 11)]
-        v, resid = measure_velocity(states, cfg)
+        v, resid = measure_velocity(*track_positions(states, cfg))
         assert v == pytest.approx(0.3, abs=1e-10)
         assert resid < 1e-10
 
     def test_simulated_family_speed(self, cnoidal):
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=256, dt=2e-4, T=0.5)
-        states = run(cfg, init_from_family(cfg, fam))
-        v, _ = measure_velocity(states, cfg)
+        v = sim.simulate(cfg, fam, waves.VelocityLaw.constant(fam.v)).v_measured
         assert v == pytest.approx(0.75, abs=1e-4)
 
     def test_constant_field_has_no_signal(self, cnoidal):
@@ -462,17 +462,14 @@ class TestMeasurement:
         cfg = SimConfig(p=p, N=128)
         st = init_from_family(cfg, fam)
         with pytest.raises(ValueError, match="3 snapshots"):
-            measure_velocity([st, st], cfg)
+            measure_velocity(*track_positions([st, st], cfg))
 
     def test_time_dependent_speed_curve(self, cnoidal):
         p, fam = cnoidal
         f = waves.ExponentialCoefficient(1.0)
         law = waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v, t_ref=1.0)
         cfg = SimConfig(p=p, N=256, dt=5e-4, T=1.0, f=f, t0=1.0)
-        states = run(cfg, init_from_family(cfg, fam, law))
-        ts, ps = track_positions(states, cfg)
-        v_inst = (waves.wave_position(law, 1.0) + ps[1:]) / ts[1:]
-        v_law = np.array([waves.velocity_at(law, float(t)) for t in ts[1:]])
+        _, v_inst, v_law = sim.simulate(cfg, fam, law).velocity_rows.T
         assert np.max(np.abs(v_inst - v_law)) < 1e-3
 
 

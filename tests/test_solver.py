@@ -20,7 +20,6 @@ from kdvmkdv.solver import (
     SQRT_Q,
     DegenerateEquation,
     NoRealSolution,
-    back_substitute_exact,
     back_substitute_generic,
     residuals_numeric,
     solve_closed_form,
@@ -180,7 +179,7 @@ class TestSignSymmetry:
 class TestBackSubstituteExact:
     def test_symbolic_zero_for_all_sign_pairs(self, system):
         for sa, sb in SIGN_PAIRS:
-            residuals = back_substitute_exact(system, params=None, sign_A=sa, sign_B=sb)
+            residuals = specialize(back_substitute_generic(system), sa, sb)
             assert all(r.is_zero for r in residuals)
 
     def test_generic_residuals_vanish_with_formal_signs(self, system):
@@ -190,17 +189,17 @@ class TestBackSubstituteExact:
     def test_rational_parameters(self, system):
         params = {"a": Fraction(2), "b": Fraction(3), "d": Fraction(6), "m": Fraction(3, 4)}
         for sa, sb in SIGN_PAIRS:
-            residuals = back_substitute_exact(system, params=params, sign_A=sa, sign_B=sb)
+            residuals = specialize(back_substitute_generic(system), sa, sb, params)
             assert all(r.is_zero for r in residuals)
 
     def test_perturbed_velocity_identifies_its_equations(self, system):
-        residuals = back_substitute_exact(system, params=None, perturb={"v": Fraction(1)})
+        residuals = specialize(back_substitute_generic(system, {"v": Fraction(1)}), 1, 1)
         nonzero = {mono.text() for mono, r in zip(system.monomials, residuals) if not r.is_zero}
         assert nonzero == {"sn*dn", "sn*cn"}
 
     def test_a_zero_branch(self, system):
         params = {"a": Fraction(0), "b": Fraction(1), "d": Fraction(1), "m": Fraction(1, 2)}
-        residuals = back_substitute_exact(system, params=params)
+        residuals = specialize(back_substitute_generic(system), 1, 1, params)
         assert all(r.is_zero for r in residuals)
 
     @settings(max_examples=40, deadline=None)
@@ -228,7 +227,7 @@ class TestBackSubstituteExact:
         fam = replace(fam, **{name: getattr(fam, name) + float(delta)})
         want = residuals_numeric(fam, system)
         for exact in (params, None):
-            got = back_substitute_exact(system, exact, *signs, perturb={name: delta})
+            got = specialize(back_substitute_generic(system, {name: delta}), *signs, exact)
             for r, w in zip(got, want):
                 assert r.eval(roots) == pytest.approx(w, rel=1e-9, abs=1e-9)
 
@@ -252,7 +251,6 @@ class TestBackSubstituteExact:
             for exact in (None, params):
                 want = per_sign_residuals(system, *signs, perturb, exact)
                 assert specialize(generic, *signs, exact) == want
-                assert back_substitute_exact(system, exact, *signs, perturb=perturb) == want
 
     def test_numeric_fallback_for_irrational_parameters(self, system):
         p = PdeParams(a=math.sqrt(2), b=1.0, d=math.pi / 3.0, m=0.7)
