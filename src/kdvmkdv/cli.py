@@ -46,6 +46,8 @@ CONSTRAINT_TOL = 1e-7
 # (0.36 s for 1e-1000000), and float reads such a number as 0 or inf anyway.
 EXPONENT_LIMIT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
+# The keys a config file may set: those some command reads with _opt.
+CONFIG_KEYS = ("a", "b", "d", "m", "timedep", "N", "dt", "T", "periods", "window-length", "f", "t-ref", "t0")
 
 # The exit code of each error class a command may end with; any other
 # ValueError is a usage error (EXIT_USAGE).
@@ -92,7 +94,10 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError("bad config line (expected key = value): %r" % (raw,))
         key, _, val = line.partition("=")
-        out[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError("unknown config key %r (expected one of %s)" % (key, ", ".join(CONFIG_KEYS)))
+        out[key] = val.strip()
     return out
 
 
@@ -323,15 +328,7 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
 
 def cmd_simulate(args) -> int:
     filecfg = _read_config(args.config)
-    params = _params_from(args, filecfg)
-    if float(params.floats.m) == 1.0 and _opt(args, filecfg, "window-length", None) is None:
-        print(
-            "error: m=1 is the non-periodic limit; use --m 0.999999 or pass --window-length "
-            "for a wide-domain windowed run",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    code, lines = _run_simulation(params, args, filecfg)
+    code, lines = _run_simulation(_params_from(args, filecfg), args, filecfg)
     for line in lines:
         print(line)
     return code

@@ -32,7 +32,7 @@ import numpy as np
 from . import elliptic
 from .ansatz import PdeParams
 from .solver import SolutionFamily
-from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate, velocity_at, wave_position
+from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate, wave_position
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
 # Error control.  A step's estimate is the relative 2-norm of the gap between
@@ -101,9 +101,8 @@ class SimConfig:
     def length(self) -> float:
         if float(self.p.m) == 1.0:
             if self.window_length is None:
-                raise ValueError(
-                    "non-periodic limit; use m<1 (e.g. 1-1e-6) or a wide-domain windowed run"
-                )
+                raise ValueError("m=1 is the non-periodic limit; use m=0.999999 or give a window length "
+                                 "(--window-length) for a wide-domain windowed run")
             return float(self.window_length)
         return self.periods * 4.0 * elliptic.complete_K(float(self.p.m))
 
@@ -275,15 +274,15 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
     return N, t
 
 
-def stability_report(cfg: SimConfig, u0: np.ndarray) -> dict[str, float]:
-    """Stability number of a step of cfg.dt in the pseudo-time tau (t for
-    unit f): advective_cfl, checked against the RK4 bound before a fixed-step
-    run and capping the controlled step.  The dispersive term, integrated
-    exactly, sets no bound; the stepper steps in tau, so f does not enter."""
+def stability_report(cfg: SimConfig, u0: np.ndarray) -> float:
+    """Advective CFL number of a step of cfg.dt in the pseudo-time tau (t for
+    unit f), checked against the RK4 bound before a fixed-step run and
+    capping the controlled step.  The dispersive term, integrated exactly,
+    sets no bound; the stepper steps in tau, so f does not enter."""
     a, b, _, _ = cfg.p.as_floats()
     k_max = float(np.max(np.abs(_wavenumbers(cfg.N, cfg.length))))
     speed = float(np.max(np.abs(a * u0 + b * u0**2)))
-    return {"advective_cfl": cfg.dt * k_max * speed}
+    return cfg.dt * k_max * speed
 
 
 def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None) -> SimState:
@@ -347,7 +346,7 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     ts = state0.t + cfg.dt * np.arange(n_steps + 1)
     dtaus = _step_spans(cfg, ts)
     dt_max = float(np.max(np.abs(dtaus)))
-    cfl = stability_report(replace(cfg, dt=dt_max), state0.field())["advective_cfl"]
+    cfl = stability_report(replace(cfg, dt=dt_max), state0.field())
     if cfl > RK4_IMAG_STABILITY:
         raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
     stride = max(1, n_steps // max(1, snapshots - 1))
@@ -382,7 +381,7 @@ def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Traj
     ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
     taus = (state0.t + cfg.f.integral_h(state0.t, ts)).tolist()
     ts = ts.tolist()
-    cfl = stability_report(cfg, state0.field())["advective_cfl"]
+    cfl = stability_report(cfg, state0.field())
     span = abs(taus[-1] - taus[0])
     cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
     states = Trajectory([state0])
@@ -489,11 +488,13 @@ class Simulation:
     """A run of a family wave and what it measured.
 
     velocity_rows holds (t, v_measured, v_predicted) for each snapshot after
-    the first.  For a constant law a row's v_measured is the mean speed since
-    t0; the record's v_measured is the slope fitted to all positions, and
-    fit_residual that fit's largest residual.  For a time-dependent law
-    v_measured is position/t, the record's at the last snapshot; fit_residual
-    is nan and velocity_rel_error the largest over the rows."""
+    the first: the measured and the predicted mean speed since t0, the
+    tracked displacement and C*(tau - tau0) over t - t0.  The displacements
+    are fitted against the pseudo-time tau - tau0 = int_{t0}^t h, in which
+    the wave moves at C for any f; fit_residual is that fit's largest
+    residual, velocity_rel_error its slope's relative distance from C, and
+    v_measured the slope times the last row's mean h, (tau - tau0)/(t - t0),
+    which is 1 for f = 1."""
 
     cfg: SimConfig
     states: Trajectory
@@ -507,13 +508,14 @@ class Simulation:
 
 
 def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulation:
-    """Run the family wave from cfg.t0 over cfg.T and measure its speed
-    against law; does no I/O.  Raises PhaseAliasing when the law moves the
-    wave by L/(2n) or more between two snapshots, n the dominant mode: the
-    unwrapped phase of track_positions would then alias."""
+    """Run the family wave from cfg.t0 over cfg.T and measure its speed per
+    unit pseudo-time against law.C (Simulation); does no I/O.  Raises
+    ValueError for fewer than 3 snapshots, and PhaseAliasing when the law
+    moves the wave by L/(2n) or more between two snapshots, n the dominant
+    mode: the unwrapped phase of track_positions would then alias."""
     state0 = init_from_family(cfg, fam, law)
     states = run(cfg, state0)
-    cfl = stability_report(replace(cfg, dt=states.dt_max), state0.field())["advective_cfl"]
+    cfl = stability_report(replace(cfg, dt=states.dt_max), state0.field())
     dm, dq = conservation_drift(states)
     ts, ps = track_positions(states, cfg)
     shift = float(np.max(np.abs(np.diff(wave_position(law, ts)))))
@@ -521,19 +523,14 @@ def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulatio
     if not shift < limit:
         raise PhaseAliasing("the wave moves %.4g between snapshots, at least L/(2n) = %.4g for its dominant "
                             "mode n, so its phase cannot be unwrapped; shorten T" % (shift, limit))
-    if law.kind == "constant":
-        measured, fit_resid = measure_velocity(ts, ps)
-        v_pred = np.full(ts[1:].shape, law.C)
-        with np.errstate(invalid="ignore"):
-            v_meas = ps[1:] / (ts[1:] - ts[0])
-        vel_err = abs(measured - law.C) / max(abs(law.C), 1e-30)
-    else:
-        v_meas = (wave_position(law, cfg.t0) + ps[1:]) / ts[1:]
-        v_pred = velocity_at(law, ts[1:])
-        vel_err = float(np.max(np.abs(v_meas - v_pred) / np.maximum(np.abs(v_pred), 1e-30)))
-        measured, fit_resid = float(v_meas[-1]), float("nan")
-    return Simulation(cfg, states, cfl, dm, dq, np.column_stack((ts[1:], v_meas, v_pred)),
-                      measured, vel_err, fit_resid)
+    taus = cfg.t0 + cfg.f.integral_h(cfg.t0, ts)
+    slope, fit_resid = measure_velocity(taus, ps)
+    with np.errstate(invalid="ignore"):
+        mean_h = (taus[1:] - taus[0]) / (ts[1:] - ts[0])
+        v_meas = ps[1:] / (ts[1:] - ts[0])
+    vel_err = abs(slope - law.C) / max(abs(law.C), 1e-30)
+    return Simulation(cfg, states, cfl, dm, dq, np.column_stack((ts[1:], v_meas, law.C * mean_h)),
+                      slope * float(mean_h[-1]), vel_err, fit_resid)
 
 
 def config_hash(cfg: SimConfig) -> str:

@@ -306,35 +306,37 @@ def parse_coefficient(spec: str) -> Coefficient:
 
 @dataclass(frozen=True)
 class VelocityLaw:
-    """Phase-speed law: constant v = C, or the time-dependent law with
-    d(t*v)/dt = C*h(t), anchored by v(t_ref) = v0."""
+    """Phase-speed law d(t*v)/dt = C*h(t), anchored by v(t_ref) = v0.  The
+    constant law v = C is f = 1 anchored at t_ref = 0."""
 
-    kind: str  # "constant" | "time-dependent"
     C: float
     f: Coefficient = UnitCoefficient()
     v0: float = 0.0
-    t_ref: float = 1.0
+    t_ref: float = 0.0
 
     @classmethod
     def constant(cls, C: float) -> "VelocityLaw":
-        return cls(kind="constant", C=C)
+        return cls(C=C)
 
     @classmethod
     def time_dependent(cls, C: float, f: Coefficient, v0: float, t_ref: float = 1.0) -> "VelocityLaw":
         if t_ref <= 0.0:
             raise ValueError("t_ref must be positive (the law degenerates at t=0)")
-        return cls(kind="time-dependent", C=C, f=f, v0=v0, t_ref=t_ref)
+        return cls(C=C, f=f, v0=v0, t_ref=t_ref)
+
+
+def wave_position(law: VelocityLaw, t):
+    """Phase position X(t) = t_ref*v0 + C*int_{t_ref}^t h of the crest that
+    starts at x = 0; X(t) = C*t exactly for the constant law."""
+    return law.t_ref * law.v0 + law.C * law.f.integral_h(law.t_ref, _times(t))
 
 
 def velocity_at(law: VelocityLaw, t) -> float | np.ndarray:
-    """Speed from the defining constraint: v(t) = (t_ref*v0 + C*int_{t_ref}^t h)/t."""
-    if law.kind == "constant":
-        return law.C * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else law.C
+    """Speed from the defining constraint: v(t) = X(t)/t, for t >= t_ref."""
     t = _times(t)
     if np.min(t) < law.t_ref:
         raise ValueError("time-dependent law defined for t >= t_ref=%g" % (law.t_ref,))
-    acc = law.f.integral_h(law.t_ref, t)
-    return (law.t_ref * law.v0 + law.C * acc) / t
+    return wave_position(law, t) / t
 
 
 def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
@@ -344,18 +346,9 @@ def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
     available in closed form (unit and exponential f); otherwise it is taken
     from t_ref, which merely re-parameterizes the free constant v0.
     """
-    if law.kind == "constant":
-        return law.C * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else law.C
     t = _times(t)
     F = law.f.exp_kernel_antiderivative(t, law.t_ref)
     return law.C * _exp(-t) * (F + law.v0)
-
-
-def wave_position(law: VelocityLaw, t: float) -> float:
-    """Phase position v(t)*t of the crest that starts at x = 0."""
-    if law.kind == "constant":
-        return law.C * t
-    return velocity_at(law, t) * t
 
 
 # Fourth-order first-derivative stencils (offsets in steps, weights): central,
@@ -379,7 +372,7 @@ def constraint_residual(law: VelocityLaw, t, form: str = "constraint", dt: float
     """
     vf = velocity_at if form == "constraint" else velocity_paper_form
     t = _times(t)
-    central = (law.kind == "constant") | (t - 2.0 * dt >= law.t_ref)
+    central = t - 2.0 * dt >= law.t_ref
     axis = (slice(None),) + (None,) * np.ndim(t)
     offsets, weights = (np.where(central, c[axis], f[axis]) for c, f in zip(_CENTRAL_STENCIL, _FORWARD_STENCIL))
     vs = vf(law, t + dt * offsets)

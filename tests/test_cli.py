@@ -345,6 +345,41 @@ class TestSimulate:
         assert code == 0
         assert "status = ok" in out
 
+    def test_m_one_is_refused_alike_by_simulate_and_sweep(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "-m", "1", "--outdir", str(tmp_path))
+        assert (code, out) == (2, "") and len(err.splitlines()) == 1
+        sweep_code, sweep_out, _ = run_cli(capsys, "sweep", "--sweep-param", "m", "--sweep-values", "1",
+                                           "--outdir", str(tmp_path))
+        assert sweep_code == 2 and sweep_out.splitlines()[1:] == err.splitlines()
+        assert "0.999999" in err and "window length" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_time_dependent_run_with_too_few_snapshots_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--f", "exp:1", "--dt", "1e-3", "--T", "1e-3",
+                                 "--outdir", str(tmp_path))
+        assert (code, out, err) == (2, "", "error: need at least 3 snapshots\n")
+        assert not list(tmp_path.iterdir())
+
+    def test_time_dependent_run_may_start_before_t_ref(self, capsys, tmp_path):
+        # h = e^(-t/2), t_ref = 1 and v0 = C: X(t) = C + 2C(e^(-1/2) - e^(-t/2))
+        code, out, _ = run_cli(capsys, "simulate", "--f", "exp:0.5", "--t0", "0.5", "--T", "0.2",
+                               "--outdir", str(tmp_path))
+        assert code == 0 and "status = ok" in out
+        fam = solve_closed_form(PdeParams(0.0, 1.0, 1.0, 0.5))[0]
+        X = fam.v + 2.0 * fam.v * (math.exp(-0.5) - math.exp(-0.35))
+        last = sorted(next(tmp_path.glob("run-*")).glob("snapshot-*.csv"))[-1]
+        x, u = np.loadtxt(last, delimiter=",", skiprows=1).T
+        assert np.max(np.abs(u - waves.evaluate(fam, x - X, 0.0))) < 1e-8
+
+    def test_negative_f_predicts_the_backward_speed(self, capsys, tmp_path):
+        # f = -1 runs the clock backward: the wave moves at -C in t
+        code, out, _ = run_cli(capsys, "simulate", "--f", "poly:-1", "--N", "64", "--T", "0.2",
+                               "--outdir", str(tmp_path))
+        summary = dict(line.split(" = ") for line in out.splitlines())
+        assert code == 0 and summary["status"] == "ok"
+        assert float(summary["v_predicted"]) == pytest.approx(-0.75, rel=1e-12)
+        assert float(summary["v_measured"]) == pytest.approx(-0.75, rel=1e-9)
+
     def test_unstable_step_is_numerical_failure(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "-a", "0", "-b", "1", "-d", "1", "-m", "0.5",
@@ -531,12 +566,14 @@ class TestGridChoice:
         (["--N", "128", "--dt", "1e-3", "--T", "0.05"], "run-c10dac445bd1",
          "05ffeb7bf2fdddb1d24e39d2f2ec5a652b71ed41c71e001b7ab5576d299f0d98"),
         (["--N", "128", "--f", "exp:0.5", "--T", "0.05"], "run-284174158d48",
-         "e733602005cc0f76622067c7c34ea988be307035065adc8c0c3e8cb6ac2297e2"),
+         "cf7dbe1d76aaa039f7783a6ef9301ab80351c294e6b45a280d6072850a3acbad"),
         (["--N", "128", "--dt", "1e-3", "--f", "poly:1,0.2", "--T", "0.05"], "run-9f64f0b92598",
-         "7aa8131518891b0446eab6b4ef56066f90d895b11154c83e1b6d79c86971237b"),
+         "9248937dca0da5a0250b14a782427dd444bbba0e2033d5f61a43a67824bbf7f2"),
         (["-m", "1", "--window-length", "60", "--T", "0.02"], "run-5536f228013c",
          "85cf99f634473a8d7755f5534754a4ac8bd9b641131738cc61221403fc80b61d"),
-    ], ids=["controlled", "fixed", "exp-controlled", "poly-fixed", "windowed-m1"])
+        (["--t0", "0.3", "--N", "128"], "run-df775545b4af",
+         "b4e0043c36307fe09fcb20f419b239e108e330bfe88086ae43746fdc20779729"),
+    ], ids=["controlled", "fixed", "exp-controlled", "poly-fixed", "windowed-m1", "t0-controlled"])
     def test_explicit_grid_writes_the_same_directory_as_before(self, capsys, tmp_path, argv, name, digest):
         # the directory name written before N was chosen from the spectrum,
         # and the sha256 of its files in name order, as the ETDRK4 step writes
@@ -627,6 +664,17 @@ class TestConfigFile:
         code, out, _ = run_cli(capsys, "solve", "--config", str(cfg), "-a", "0")
         assert code == 0
         assert all("D=0" in line or "D=-0" in line for line in out.strip().splitlines())
+
+    @pytest.mark.parametrize("line", ["sign-a = -1", "Tt = 5"])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = 0.05\n%s\n" % (line,))
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--outdir", str(outdir))
+        key = line.split(" = ")[0]
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown config key %r" % (key,)) and len(err.splitlines()) == 1
+        assert not outdir.exists()
 
     def test_bad_config_line_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -8,6 +8,7 @@ import pytest
 
 from kdvmkdv import sim, waves
 from kdvmkdv.ansatz import PdeParams
+from kdvmkdv.cli import VELOCITY_REL_TOL
 from kdvmkdv.sim import (
     SimConfig,
     SimState,
@@ -463,6 +464,26 @@ class TestMeasurement:
         st = init_from_family(cfg, fam)
         with pytest.raises(ValueError, match="3 snapshots"):
             measure_velocity(*track_positions([st, st], cfg))
+
+    def test_a_law_one_percent_off_is_measured_one_percent_off(self, cnoidal):
+        # the speed is fitted per unit pseudo-time, where the wave moves at C
+        # for any f, so no position of the law's own dilutes the check
+        p, fam = cnoidal
+        f = waves.ExponentialCoefficient(0.5)
+        law = waves.VelocityLaw.time_dependent(1.01 * fam.v, f, v0=1.01 * fam.v)
+        cfg = SimConfig(p=p, N=64, T=0.05, f=f, t0=1.0, adaptive=True)
+        result = sim.simulate(cfg, fam, law)
+        assert result.velocity_rel_error > VELOCITY_REL_TOL
+        assert result.velocity_rel_error == pytest.approx(0.01 / 1.01, rel=1e-6)
+
+    def test_stability_report_is_the_advective_cfl_number(self, cnoidal):
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, dt=1e-3)
+        u0 = init_from_family(cfg, fam).field()
+        k_max = 2.0 * np.pi * 31 / cfg.length  # the Nyquist mode (32) is zeroed
+        cfl = sim.stability_report(cfg, u0)
+        assert isinstance(cfl, float)
+        assert cfl == pytest.approx(1e-3 * k_max * np.max(np.abs(u0**2)), rel=1e-12)
 
     def test_time_dependent_speed_curve(self, cnoidal):
         p, fam = cnoidal
