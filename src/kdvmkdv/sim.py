@@ -16,8 +16,9 @@ A time coefficient f(t) multiplying u_t is a change of clock: with h = 1/f,
 f(t)*u_t = -(flux)_x - d*u_xxx is the unit-f equation in the pseudo-time
 tau(t) = t0 + int_{t0}^t h, so u(., t) = U(., tau(t)) for the unit-f solution
 U.  The stepper is therefore autonomous and steps in tau; a run maps its
-snapshot or step times to tau once, up front, and its states record t.
-Step sizes, error estimates and stability numbers are per unit tau.
+snapshot times to tau once, up front, steps each snapshot interval in equal
+tau-steps, and its states record t.  Step sizes, error estimates and
+stability numbers are per unit tau.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ MIN_STEP = 1e-12  # controlled steps below MIN_STEP times the run's span in tau 
 # Fixed-step estimate per unit tau (200x RTOL) above which a step is too large:
 # the default wave's dt=0.02 on N=64 reads 4.1e-5 and is 6e-6 (relative) off at t=1.
 ESTIMATE_LIMIT = 1e-5
-# A fixed-step run maps its steps to tau with one quadrature call per block of
-# this many steps; a call holds about 0.9 kB of temporaries per step.
-SPAN_BLOCK = 10_000
 # Grid choice (choose_N): powers of two from N_MIN, doubled while that lowers
 # the spectral tail more than TAIL_DROP times, or while the tail is above
 # TAIL_RESOLVED (a profile that steep aliases, and its spectrum looks flat);
@@ -313,81 +311,55 @@ def _blow_up(t: float) -> SimulationBlowUp:
     return SimulationBlowUp("non-finite spectral coefficients or error estimate at t=%.6g" % (t,))
 
 
-def _step_spans(cfg: SimConfig, ts: np.ndarray) -> np.ndarray:
-    """The pseudo-time span of each fixed step [ts[i], ts[i+1]], written as
-    dt * (span in tau / span in t) so that a unit-f step is dt exactly; one
-    cfg.f.integral_h call per SPAN_BLOCK steps."""
-    blocks = (ts[i : i + SPAN_BLOCK + 1] for i in range(0, ts.size - 1, SPAN_BLOCK))
-    return np.concatenate([cfg.dt * (cfg.f.integral_h(b[:-1], b[1:]) / np.diff(b)) for b in blocks])
-
-
 def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     """Integrate from state0 over cfg.T, returning ~snapshots states
     (including the initial and final ones).
 
-    The stepper steps in the pseudo-time tau (module docstring); the times of
-    the snapshots, or of the steps of a fixed-step run, are mapped to tau
-    before the first step.  With a fixed step (cfg.adaptive false) step i
-    spans the pseudo-time of [t_i, t_i + dt] (_step_spans).  Such a run is
-    refused up front when the advective CFL number of its largest step
-    exceeds the RK4 bound, and stopped when a step's error estimate per unit
-    tau exceeds ESTIMATE_LIMIT, a step too large for the run; both raise
-    StabilityError.  Controlled runs choose each step so that the estimate
-    per unit tau stays below RTOL and land exactly on the snapshot times.  A
-    step that gives non-finite values raises SimulationBlowUp in either kind
-    of run.
+    The stepper steps in the pseudo-time tau (module docstring); the snapshot
+    times are mapped to tau before the first step, and each snapshot interval
+    is stepped in equal tau-steps that end on its end.  With a fixed step
+    (cfg.adaptive false) a snapshot falls every n_steps // (snapshots - 1)
+    steps and on the last, and the interval's steps are dt * (span in tau /
+    span in t) each, dt exactly for unit f.  Such a run is refused up front
+    when the advective CFL number of its largest step exceeds the RK4 bound,
+    and stopped when a step's error estimate per unit tau exceeds
+    ESTIMATE_LIMIT, a step too large for the run; both raise StabilityError.
+    Controlled runs space the snapshots evenly and accept a step when its
+    estimate per unit tau is at most RTOL, proposing the next by the
+    third-order rule dt * SAFETY * (RTOL / estimate)^(1/3), capped by the
+    advective CFL bound; an interval's plan, and so the ETDRK4 coefficients,
+    change only when the proposal no longer fits it.  A step that gives
+    non-finite values raises SimulationBlowUp in either kind of run.  A
+    negative f runs tau backward.
     """
-    if cfg.adaptive:
-        return _run_controlled(_Stepper(cfg), state0, snapshots)
-    n_steps = int(round(cfg.T / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
-        cfg = replace(cfg, dt=cfg.T / n_steps)
-    stepper = _Stepper(cfg)
-    ts = state0.t + cfg.dt * np.arange(n_steps + 1)
-    dtaus = _step_spans(cfg, ts)
-    dt_max = float(np.max(np.abs(dtaus)))
-    cfl = stability_report(replace(cfg, dt=dt_max), state0.field())
-    if cfl > RK4_IMAG_STABILITY:
-        raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
-    stride = max(1, n_steps // max(1, snapshots - 1))
-    states = Trajectory([state0])
-    vh = state0.uhat[: cfg.N // 2 + 1]
-    g = stepper.nonlinear(vh)
-    for i, (t, dtau) in enumerate(zip(ts[1:].tolist(), dtaus.tolist()), 1):
-        vh, g, err = stepper.embedded_step(vh, dtau, g)
-        if not np.isfinite(err):
-            raise _blow_up(t)
-        if err > ESTIMATE_LIMIT * abs(dtau):
-            raise StabilityError(
-                "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is too large "
-                "for this run; reduce dt or let the step be chosen by error control"
-                % (err / abs(dtau), t, ESTIMATE_LIMIT, cfg.dt)
-            )
-        if i % stride == 0 or i == n_steps:
-            states.append(SimState.from_spectrum(t, _full_spectrum(vh), stepper.L))
-    states.steps, states.dt_max = n_steps, dt_max
-    return states
-
-
-def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Trajectory:
-    """Error-controlled stepping: accept a step when its estimate per unit
-    tau is at most RTOL, and propose the next by the third-order rule
-    dt * SAFETY * (RTOL / estimate)^(1/3), capped by the advective CFL bound.
-    Each snapshot interval is planned as equal steps that end on its end
-    pseudo-time; the plan, and so the ETDRK4 coefficients, change only when
-    the proposal no longer fits it.  A negative f runs tau backward."""
-    cfg = stepper.cfg
+    controlled = cfg.adaptive
     n_int = max(1, snapshots - 1)
-    ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
+    if controlled:
+        ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
+    else:
+        n_steps = int(round(cfg.T / cfg.dt))
+        if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+            cfg = replace(cfg, dt=cfg.T / n_steps)
+        marks = np.append(np.arange(0, n_steps, max(1, n_steps // n_int)), n_steps)
+        ts = state0.t + cfg.dt * marks
+        hs = cfg.dt * (cfg.f.integral_h(ts[:-1], ts[1:]) / np.diff(ts))
+        plans = list(zip(np.diff(marks).tolist(), hs.tolist()))
     taus = (state0.t + cfg.f.integral_h(state0.t, ts)).tolist()
     ts = ts.tolist()
-    cfl = stability_report(cfg, state0.field())
-    span = abs(taus[-1] - taus[0])
-    cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
+    if controlled:
+        cfl = stability_report(cfg, state0.field())
+        span = abs(taus[-1] - taus[0])
+        cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
+        dt, tol = min(cfg.dt, cap), RTOL
+    else:
+        cfl = stability_report(replace(cfg, dt=float(np.max(np.abs(hs)))), state0.field())
+        if cfl > RK4_IMAG_STABILITY:
+            raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
+        tol = ESTIMATE_LIMIT
+    stepper = _Stepper(cfg)
     states = Trajectory([state0])
     vh, tau = state0.uhat[: cfg.N // 2 + 1], taus[0]
     g = stepper.nonlinear(vh)
-    dt = min(cfg.dt, cap)
 
     def t_at(j: int, s: float) -> float:
         """The time of pseudo-time s in snapshot interval j, interpolated
@@ -395,29 +367,37 @@ def _run_controlled(stepper: _Stepper, state0: SimState, snapshots: int) -> Traj
         return ts[j - 1] + (ts[j] - ts[j - 1]) * (s - taus[j - 1]) / (taus[j] - taus[j - 1])
 
     for j in range(1, len(ts)):
-        left = 0  # steps left in the plan for this interval
+        left, h = (0, 0.0) if controlled else plans[j - 1]  # steps left in the plan, and their size
         while tau != taus[j]:
-            need = int(np.ceil(abs(taus[j] - tau) / dt))
-            if need != left:
-                left, h = need, (taus[j] - tau) / need
+            if controlled:
+                need = int(np.ceil(abs(taus[j] - tau) / dt))
+                if need != left:
+                    left, h = need, (taus[j] - tau) / need
             out, g5, err = stepper.embedded_step(vh, h, g)
             if not np.isfinite(err):
                 raise _blow_up(t_at(j, tau + h))
-            ratio = err / (abs(h) * RTOL)
+            ratio = err / (abs(h) * tol)
             if ratio <= 1.0:
                 vh, g, tau = out, g5, (taus[j] if left == 1 else tau + h)
                 left -= 1
                 states.steps += 1
                 states.dt_max = max(states.dt_max, abs(h))
+            elif not controlled:
+                raise StabilityError(
+                    "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is too large "
+                    "for this run; reduce dt or let the step be chosen by error control"
+                    % (err / abs(h), t_at(j, tau + h), ESTIMATE_LIMIT, cfg.dt)
+                )
             else:
                 states.rejected_steps += 1
-            grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
-            dt = min(cap, abs(h) * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
-            if dt < MIN_STEP * span:
-                raise StabilityError(
-                    "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
-                    % (MIN_STEP * span, t_at(j, tau), err / abs(h))
-                )
+            if controlled:
+                grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
+                dt = min(cap, abs(h) * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
+                if dt < MIN_STEP * span:
+                    raise StabilityError(
+                        "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
+                        % (MIN_STEP * span, t_at(j, tau), err / abs(h))
+                    )
         states.append(SimState.from_spectrum(ts[j], _full_spectrum(vh), stepper.L))
     return states
 
@@ -427,13 +407,14 @@ def spectral_residual(fam: SolutionFamily, N: int = 256, window_length: float = 
     profile, with derivatives taken spectrally on N points.
 
     For the traveling profile u_t = -v*u_x, so the residual collapses to
-    (-v + a*u + b*u^2)*u_x + d*u_xxx.  m=1 uses a wide window in place of the
-    divergent elliptic period.
+    (-v + a*u + b*u^2)*u_x + d*u_xxx.  The domain is a simulation's
+    (SimConfig.length): m=1 uses a wide window in place of the divergent
+    elliptic period.
     """
-    a, b, d, m = fam.params.as_floats()
-    L = window_length if m == 1.0 else 4.0 * elliptic.complete_K(m)
-    x = -L / 2.0 + L * np.arange(N) / N
-    u = np.asarray(evaluate(fam, x, 0.0), dtype=float)
+    a, b, d, _ = fam.params.as_floats()
+    cfg = SimConfig(fam.params, N=N, window_length=window_length)
+    L = cfg.length
+    u = np.asarray(evaluate(fam, cfg.grid(), 0.0), dtype=float)
     k = _wavenumbers(N, L)
     uhat = np.fft.fft(u)
     ux = np.fft.ifft(1j * k * uhat).real

@@ -448,14 +448,6 @@ class EllipticExpr:
                 res[mono] = res[mono] + poly if mono in res else poly
         return EllipticExpr(res)
 
-    def __pow__(self, n: int) -> "EllipticExpr":
-        if n < 0:
-            raise ValueError("negative power")
-        out = EllipticExpr.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- spec operations -----------------------------------------------------
 
     def differentiate(self) -> "EllipticExpr":

@@ -513,11 +513,12 @@ class TestStepChoice:
         assert np.max(np.abs(u - waves.evaluate(fam, x, 10.0))) < 1e-9
 
     def test_fixed_step_reports_the_stability_numbers_of_its_largest_step(self, capsys, tmp_path):
-        # h = 1/f = e^{t/2}: the largest tau-step is the last one, over [1.199, 1.2]
+        # h = 1/f = e^{t/2}: the largest tau-step is the mean one of the last
+        # snapshot interval, 4 steps over [1.196, 1.2]
         out = run_cli(capsys, "simulate", "--f", "exp:-0.5", "--T", "0.2", "--N", "128", "--dt", "1e-3",
                       "--outdir", str(tmp_path))[1]
         summary = self._summary(out)
-        dt_max = 2.0 * (math.exp(0.6) - math.exp(0.5995))
+        dt_max = 2.0 * (math.exp(0.6) - math.exp(0.598)) / 4
         k_max = 63 * 2.0 * math.pi / (4.0 * complete_K(0.5))
         f = waves.parse_coefficient("exp:-0.5")
         fam = solve_closed_form(PdeParams(0, 1, 1, 0.5))[0]
@@ -573,7 +574,10 @@ class TestGridChoice:
          "85cf99f634473a8d7755f5534754a4ac8bd9b641131738cc61221403fc80b61d"),
         (["--t0", "0.3", "--N", "128"], "run-df775545b4af",
          "b4e0043c36307fe09fcb20f419b239e108e330bfe88086ae43746fdc20779729"),
-    ], ids=["controlled", "fixed", "exp-controlled", "poly-fixed", "windowed-m1", "t0-controlled"])
+        (["--N", "128", "--dt", "1e-3", "--T", "2"], "run-2ffe6a70e0b1",
+         "9813bcc7d715ae43ed0dfafb82b4be97c7e210dee76f3c1fb3b90107e8f60c29"),
+    ], ids=["controlled", "fixed", "exp-controlled", "poly-fixed", "windowed-m1", "t0-controlled",
+            "fixed-40-per-interval"])
     def test_explicit_grid_writes_the_same_directory_as_before(self, capsys, tmp_path, argv, name, digest):
         # the directory name written before N was chosen from the spectrum,
         # and the sha256 of its files in name order, as the ETDRK4 step writes

@@ -1,6 +1,5 @@
 """Tests for the pseudo-spectral integrator."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -307,6 +306,20 @@ class TestClock:
         assert with_f.steps == unit.steps
         assert np.max(np.abs(with_f[-1].uhat - unit[-1].uhat)) < 1e-12 * np.max(np.abs(unit[-1].uhat))
 
+    def test_fixed_run_with_f_builds_its_step_once_per_interval(self, cnoidal, monkeypatch):
+        # 500 steps in 50 snapshot intervals: each interval is 10 equal tau-steps
+        p, fam = cnoidal
+        f = waves.parse_coefficient("poly:1,0.2")
+        law = waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
+        cfg = SimConfig(p=p, N=128, dt=1e-3, T=0.5, f=f, t0=1.0)
+        builds = []
+        etd = sim._etd_coefficients
+        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dt: builds.append(dt) or etd(lin, dt))
+        states = sim.simulate(cfg, fam, law).states
+        assert states.steps == 500 and len(builds) == 50
+        exact = waves.evaluate(fam, cfg.grid(), 1.5, law)
+        assert np.max(np.abs(states[-1].field() - exact)) < 1e-10 * np.max(np.abs(exact))
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_negative_f_runs_the_unit_equation_backward(self, cnoidal, adaptive):
         # f = -1 gives tau(t) = -t: the wave at t = T is the unit-f wave at -T
@@ -315,27 +328,6 @@ class TestClock:
         states = run(cfg, SimState.from_field(0.0, waves.evaluate(fam, cfg.grid(), 0.0), cfg.length))
         assert states[-1].t == pytest.approx(0.2, abs=1e-15)
         assert np.max(np.abs(states[-1].field() - waves.evaluate(fam, cfg.grid(), -0.2))) < 1e-9
-
-
-class TestFixedStepSpans:
-    def test_spans_are_taken_in_blocks_of_bounded_memory(self, cnoidal):
-        # one quadrature call over 1e5 steps held about 46 MB of temporaries
-        p, _ = cnoidal
-        f = waves.parse_coefficient("poly:1.2,0.25,0.03")
-        cfg = SimConfig(p=p, dt=1e-4, T=10.0, f=f, t0=1.0)
-        ts = 1.0 + cfg.dt * np.arange(100_001)
-
-        def traced(call):
-            tracemalloc.start()
-            try:
-                return call(), tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        whole, whole_peak = traced(lambda: cfg.dt * (f.integral_h(ts[:-1], ts[1:]) / np.diff(ts)))
-        blocked, blocked_peak = traced(lambda: sim._step_spans(cfg, ts))
-        assert blocked_peak <= whole_peak / 4
-        assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-15
 
 
 class TestGridChoice:
