@@ -13,7 +13,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,17 +289,12 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         law = waves.VelocityLaw.constant(fam.v)
 
     cfg = sim.SimConfig(
-        p=p, T=T, periods=periods, f=f, t0=t0,
+        p=p, N=N, T=T, periods=periods, f=f, t0=t0,
         window_length=float(window) if window is not None else None,
         **({"adaptive": True} if dt is None else {"dt": float(dt)}),
-        **({} if N is None else {"N": N}),
     )
-    tail = None
-    if N is None:
-        N, tail = sim.choose_N(cfg, fam, law)
-        cfg = replace(cfg, N=N)
     result = sim.simulate(cfg, fam, law)
-    rundir = sim.write_snapshots(result.states, cfg, args.outdir)
+    rundir = sim.write_snapshots(result.run, result.cfg, args.outdir)
     vel_lines = ["t,v_measured,v_predicted"] + ["%s,%s,%s" % tuple(map(_fmt, row)) for row in result.velocity_rows]
     (rundir / "velocity.csv").write_text("\n".join(vel_lines) + "\n")
 
@@ -315,12 +309,12 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
         "fit_residual = %s" % (_fmt(result.fit_residual),),
         "mass_drift = %s" % (_fmt(result.mass_drift),),
         "quad_drift = %s" % (_fmt(result.quad_drift),),
-        "steps = %d" % (result.states.steps,),
-        "rejected_steps = %d" % (result.states.rejected_steps,),
+        "steps = %d" % (result.run.steps,),
+        "rejected_steps = %d" % (result.run.rejected_steps,),
         "advective_cfl = %s" % (_fmt(result.advective_cfl),),
     ]
-    if tail is not None:
-        summary += ["N = %d" % (N,), "spectral_tail = %s" % (_fmt(tail),)]
+    if result.spectral_tail is not None:
+        summary += ["N = %d" % (result.cfg.N,), "spectral_tail = %s" % (_fmt(result.spectral_tail),)]
     summary.append("status = %s" % ("ok" if ok else "velocity-or-drift-out-of-bounds",))
     (rundir / "summary.txt").write_text("\n".join(summary) + "\n")
     return (EXIT_OK if ok else EXIT_VERIFY_FAIL), summary

@@ -10,22 +10,22 @@ the cubic term).  Each step also yields an embedded estimate of its local
 error at no extra flux evaluation (the last stage is the next step's first);
 controlled runs choose the step from it, fixed-step runs stop when it shows a
 step too large for the run.  The stepper carries the real-FFT half spectrum
-of u; states hold the full spectrum.
+of u; a run (Run) records the full spectrum of each snapshot, one row each.
 
 A time coefficient f(t) multiplying u_t is a change of clock: with h = 1/f,
 f(t)*u_t = -(flux)_x - d*u_xxx is the unit-f equation in the pseudo-time
 tau(t) = t0 + int_{t0}^t h, so u(., t) = U(., tau(t)) for the unit-f solution
 U.  The stepper is therefore autonomous and steps in tau; a run maps its
 snapshot times to tau once, up front, steps each snapshot interval in equal
-tau-steps, and its states record t.  Step sizes, error estimates and
-stability numbers are per unit tau.
+tau-steps, and records its snapshots at their times t.  Step sizes, error
+estimates and stability numbers are per unit tau.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from math import factorial
+from math import factorial, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +76,7 @@ class PhaseAliasing(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig:
     p: PdeParams
-    N: int = 256
+    N: int | None = None  # grid points; None: chosen from the profile's spectral tail (choose_N)
     periods: int = 1
     dt: float = 1e-4
     T: float = 1.0
@@ -86,13 +86,18 @@ class SimConfig:
     adaptive: bool = False  # choose each step by error control; dt is then the first trial step
 
     def __post_init__(self):
-        if self.N < 64 or self.N & (self.N - 1):
+        if self.N is not None and (self.N < 64 or self.N & (self.N - 1)):
             raise ValueError("N must be a power of two >= 64, got %r" % (self.N,))
         if self.periods < 1:
             raise ValueError("periods must be a positive integer")
+        for name in ("dt", "T", "t0"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError("%s=%g is not finite" % (name, getattr(self, name)))
         if self.dt <= 0.0 or self.T <= 0.0:
             raise ValueError("dt and T must be positive")
-        if round(self.T / self.dt) < 1:
+        if self.window_length is not None and not 0.0 < self.window_length < np.inf:
+            raise ValueError("window length must be positive and finite, got %g" % (self.window_length,))
+        if not self.adaptive and round(self.T / self.dt) < 1:
             raise ValueError("T=%g is shorter than half of dt=%g: no time step to take" % (self.T, self.dt))
 
     @property
@@ -109,39 +114,11 @@ class SimConfig:
         return -L / 2.0 + L * np.arange(self.N) / self.N
 
 
-@dataclass(frozen=True)
-class SimState:
-    t: float
-    uhat: np.ndarray  # full FFT coefficients, conjugate-symmetric for real u
-    mass: float       # integral of u dx
-    quad: float       # integral of u^2 dx
-
-    @classmethod
-    def from_field(cls, t: float, u: np.ndarray, L: float) -> "SimState":
-        return cls.from_spectrum(t, np.fft.fft(u), L)
-
-    @classmethod
-    def from_spectrum(cls, t: float, uhat: np.ndarray, L: float) -> "SimState":
-        N = uhat.size
-        mass = float(uhat[0].real) * L / N
-        quad = float(np.sum(np.abs(uhat) ** 2)) * L / N**2
-        return cls(t=t, uhat=uhat, mass=mass, quad=quad)
-
-    def field(self) -> np.ndarray:
-        return np.fft.ifft(self.uhat).real
-
-
 def _wavenumbers(N: int, L: float) -> np.ndarray:
     """Odd-derivative wavenumbers: Nyquist mode zeroed."""
     k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
     k[N // 2] = 0.0
     return k
-
-
-def _full_spectrum(vh: np.ndarray) -> np.ndarray:
-    """Full FFT coefficients of a real field from its real-FFT half spectrum."""
-    M = vh.size - 1
-    return np.concatenate([vh, np.conj(vh[M - 1 : 0 : -1])])
 
 
 # Taylor coefficients of Q/dt, f1/dt, f2/dt and f3/dt, a row per power of z = dt*L.
@@ -272,23 +249,24 @@ def choose_N(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None
     return N, t
 
 
-def stability_report(cfg: SimConfig, u0: np.ndarray) -> float:
-    """Advective CFL number of a step of cfg.dt in the pseudo-time tau (t for
-    unit f), checked against the RK4 bound before a fixed-step run and
-    capping the controlled step.  The dispersive term, integrated exactly,
-    sets no bound; the stepper steps in tau, so f does not enter."""
+def stability_report(cfg: SimConfig, u0: np.ndarray, dt: float) -> float:
+    """Advective CFL number of a step of dt in the pseudo-time tau (t for
+    unit f) from the field u0, checked against the RK4 bound before a
+    fixed-step run and capping the controlled step.  The dispersive term,
+    integrated exactly, sets no bound; the stepper steps in tau, so f does
+    not enter."""
     a, b, _, _ = cfg.p.as_floats()
     k_max = float(np.max(np.abs(_wavenumbers(cfg.N, cfg.length))))
     speed = float(np.max(np.abs(a * u0 + b * u0**2)))
-    return cfg.dt * k_max * speed
+    return dt * k_max * speed
 
 
-def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None) -> SimState:
-    """Sample the family profile at t = cfg.t0 on the periodic grid."""
+def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | None = None) -> np.ndarray:
+    """The full spectrum of the family profile at t = cfg.t0, sampled on the
+    periodic grid."""
     if fam.params.as_floats() != cfg.p.as_floats():
         raise ValueError("family parameters disagree with the simulation config")
-    L = cfg.length  # raises the documented error for m=1 without a window
-    x = cfg.grid()
+    x = cfg.grid()  # raises the documented error for m=1 without a window
     u0 = evaluate(fam, x, cfg.t0, law)
     if float(cfg.p.m) == 1.0:
         tail = max(abs(u0[0] - fam.D), abs(u0[-1] - fam.D))
@@ -296,24 +274,31 @@ def init_from_family(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw | Non
             raise ValueError(
                 "windowed m=1 run needs decayed tails: |u(+-L/2) - D| = %.3e > 1e-10" % (tail,)
             )
-    return SimState.from_field(cfg.t0, np.asarray(u0, dtype=float), L)
+    return np.fft.fft(np.asarray(u0, dtype=float))
 
 
-class Trajectory(list):
-    """The snapshot states of a run, with the step counts that produced them."""
+@dataclass(frozen=True)
+class Run:
+    """The snapshots of a run, with the step counts that produced them."""
 
-    steps = 0           # accepted steps
-    rejected_steps = 0  # controlled mode: trial steps whose estimate exceeded RTOL
-    dt_max = 0.0        # largest accepted step, in pseudo-time
+    ts: np.ndarray    # snapshot times
+    uhat: np.ndarray  # full spectra, one row per snapshot: conjugate-symmetric for real u
+    steps: int           # accepted steps
+    rejected_steps: int  # controlled mode: trial steps whose estimate exceeded RTOL
+    dt_max: float        # largest accepted step, in pseudo-time
+
+    def fields(self) -> np.ndarray:
+        """The field u on the grid, one row per snapshot."""
+        return np.fft.ifft(self.uhat, axis=1).real
 
 
 def _blow_up(t: float) -> SimulationBlowUp:
     return SimulationBlowUp("non-finite spectral coefficients or error estimate at t=%.6g" % (t,))
 
 
-def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
-    """Integrate from state0 over cfg.T, returning ~snapshots states
-    (including the initial and final ones).
+def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
+    """Integrate the full spectrum uhat0 from cfg.t0 over cfg.T; the Run
+    records ~snapshots snapshots (including the initial and final ones).
 
     The stepper steps in the pseudo-time tau (module docstring); the snapshot
     times are mapped to tau before the first step, and each snapshot interval
@@ -335,31 +320,35 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
     controlled = cfg.adaptive
     n_int = max(1, snapshots - 1)
     if controlled:
-        ts = state0.t + cfg.T * np.arange(n_int + 1) / n_int
+        ts = cfg.t0 + cfg.T * np.arange(n_int + 1) / n_int
     else:
         n_steps = int(round(cfg.T / cfg.dt))
         if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
             cfg = replace(cfg, dt=cfg.T / n_steps)
         marks = np.append(np.arange(0, n_steps, max(1, n_steps // n_int)), n_steps)
-        ts = state0.t + cfg.dt * marks
+        ts = cfg.t0 + cfg.dt * marks
         hs = cfg.dt * (cfg.f.integral_h(ts[:-1], ts[1:]) / np.diff(ts))
         plans = list(zip(np.diff(marks).tolist(), hs.tolist()))
-    taus = (state0.t + cfg.f.integral_h(state0.t, ts)).tolist()
-    ts = ts.tolist()
+    taus = (cfg.t0 + cfg.f.integral_h(cfg.t0, ts)).tolist()
+    u0 = np.fft.ifft(uhat0).real
     if controlled:
-        cfl = stability_report(cfg, state0.field())
+        cfl = stability_report(cfg, u0, cfg.dt)
         span = abs(taus[-1] - taus[0])
         cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
         dt, tol = min(cfg.dt, cap), RTOL
     else:
-        cfl = stability_report(replace(cfg, dt=float(np.max(np.abs(hs)))), state0.field())
+        cfl = stability_report(cfg, u0, float(np.max(np.abs(hs))))
         if cfl > RK4_IMAG_STABILITY:
             raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
         tol = ESTIMATE_LIMIT
     stepper = _Stepper(cfg)
-    states = Trajectory([state0])
-    vh, tau = state0.uhat[: cfg.N // 2 + 1], taus[0]
+    M = cfg.N // 2
+    uhat = np.empty((len(ts), cfg.N), dtype=complex)
+    uhat[0] = uhat0
+    vh, tau = uhat0[: M + 1], taus[0]
     g = stepper.nonlinear(vh)
+    steps = rejected = 0
+    dt_max = 0.0
 
     def t_at(j: int, s: float) -> float:
         """The time of pseudo-time s in snapshot interval j, interpolated
@@ -380,8 +369,8 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
             if ratio <= 1.0:
                 vh, g, tau = out, g5, (taus[j] if left == 1 else tau + h)
                 left -= 1
-                states.steps += 1
-                states.dt_max = max(states.dt_max, abs(h))
+                steps += 1
+                dt_max = max(dt_max, abs(h))
             elif not controlled:
                 raise StabilityError(
                     "error estimate %.3g per unit time at t=%.6g exceeds %.3g: dt=%.3g is too large "
@@ -389,7 +378,7 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
                     % (err / abs(h), t_at(j, tau + h), ESTIMATE_LIMIT, cfg.dt)
                 )
             else:
-                states.rejected_steps += 1
+                rejected += 1
             if controlled:
                 grow = SAFETY * ratio ** (-1.0 / 3.0) if ratio > 0.0 else MAX_GROWTH
                 dt = min(cap, abs(h) * min(MAX_GROWTH, max(MIN_SHRINK, grow)))
@@ -398,8 +387,9 @@ def run(cfg: SimConfig, state0: SimState, snapshots: int = 51) -> Trajectory:
                         "error control needs a step below %.3g at t=%.6g (estimate %.3g per unit time)"
                         % (MIN_STEP * span, t_at(j, tau), err / abs(h))
                     )
-        states.append(SimState.from_spectrum(ts[j], _full_spectrum(vh), stepper.L))
-    return states
+        uhat[j, : M + 1] = vh
+        uhat[j, M + 1 :] = np.conj(vh[M - 1 : 0 : -1])
+    return Run(ts, uhat, steps, rejected, dt_max)
 
 
 def spectral_residual(fam: SolutionFamily, N: int = 256, window_length: float = 60.0) -> float:
@@ -428,27 +418,27 @@ def spectral_residual(fam: SolutionFamily, N: int = 256, window_length: float = 
 # ---------------------------------------------------------------------------
 
 
-def dominant_mode(state: SimState) -> int:
-    """Index of the strongest nonzero Fourier mode."""
-    N = state.uhat.size
-    mags = np.abs(state.uhat[1 : N // 2])
-    if mags.size == 0 or np.max(mags) < 1e-12 * max(1.0, abs(state.uhat[0])):
+def dominant_mode(uhat: np.ndarray) -> int:
+    """Index of the strongest nonzero Fourier mode of the full spectrum uhat."""
+    N = uhat.size
+    mags = np.abs(uhat[1 : N // 2])
+    if mags.size == 0 or np.max(mags) < 1e-12 * max(1.0, abs(uhat[0])):
         raise ValueError("no traveling signal")
     return 1 + int(np.argmax(mags))
 
 
-def track_positions(states: list[SimState], cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(t, displacement) of the wave, from the unwrapped phase of the dominant mode."""
-    n = dominant_mode(states[0])
+def track_positions(run: Run, cfg: SimConfig) -> np.ndarray:
+    """Displacement of the wave at each snapshot of run, from the unwrapped
+    phase of the dominant mode."""
+    n = dominant_mode(run.uhat[0])
     k = 2.0 * np.pi * n / cfg.length
-    phases = np.unwrap(np.array([float(np.angle(s.uhat[n])) for s in states]))
-    ts = np.array([s.t for s in states])
-    return ts, (phases[0] - phases) / k
+    phases = np.unwrap(np.angle(run.uhat[:, n]))
+    return (phases[0] - phases) / k
 
 
 def measure_velocity(ts: np.ndarray, ps: np.ndarray) -> tuple[float, float]:
-    """Translation speed by least-squares fit of the displacements ps at the
-    times ts (track_positions); returns (speed, max residual of the linear fit)."""
+    """Translation speed by least-squares fit of the displacements ps
+    (track_positions) at the times ts; returns (speed, max residual of the linear fit)."""
     if len(ts) < 3:
         raise ValueError("need at least 3 snapshots")
     coef = np.polyfit(ts, ps, 1)
@@ -456,11 +446,14 @@ def measure_velocity(ts: np.ndarray, ps: np.ndarray) -> tuple[float, float]:
     return float(coef[0]), resid
 
 
-def conservation_drift(states: list[SimState]) -> tuple[float, float]:
-    """Relative drift of mass and of the quadratic invariant across a run."""
-    m0, q0 = states[0].mass, states[0].quad
-    dm = max(abs(s.mass - m0) for s in states) / max(abs(m0), 1e-30)
-    dq = max(abs(s.quad - q0) for s in states) / max(abs(q0), 1e-30)
+def conservation_drift(run: Run, cfg: SimConfig) -> tuple[float, float]:
+    """Relative drift of mass (integral of u dx) and of the quadratic
+    invariant (integral of u^2 dx) across a run."""
+    L, N = cfg.length, cfg.N
+    mass = run.uhat[:, 0].real * L / N
+    quad = np.sum(np.abs(run.uhat) ** 2, axis=1) * L / N**2
+    dm = float(np.max(np.abs(mass - mass[0]))) / max(abs(float(mass[0])), 1e-30)
+    dq = float(np.max(np.abs(quad - quad[0]))) / max(abs(float(quad[0])), 1e-30)
     return dm, dq
 
 
@@ -468,6 +461,8 @@ def conservation_drift(states: list[SimState]) -> tuple[float, float]:
 class Simulation:
     """A run of a family wave and what it measured.
 
+    cfg is the run's configuration, with N chosen when it was None, and
+    spectral_tail that grid's tail (choose_N), None for a given N.
     velocity_rows holds (t, v_measured, v_predicted) for each snapshot after
     the first: the measured and the predicted mean speed since t0, the
     tracked displacement and C*(tau - tau0) over t - t0.  The displacements
@@ -478,7 +473,8 @@ class Simulation:
     which is 1 for f = 1."""
 
     cfg: SimConfig
-    states: Trajectory
+    run: Run
+    spectral_tail: float | None
     advective_cfl: float  # at the largest accepted step
     mass_drift: float
     quad_drift: float
@@ -489,18 +485,23 @@ class Simulation:
 
 
 def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulation:
-    """Run the family wave from cfg.t0 over cfg.T and measure its speed per
-    unit pseudo-time against law.C (Simulation); does no I/O.  Raises
-    ValueError for fewer than 3 snapshots, and PhaseAliasing when the law
-    moves the wave by L/(2n) or more between two snapshots, n the dominant
-    mode: the unwrapped phase of track_positions would then alias."""
-    state0 = init_from_family(cfg, fam, law)
-    states = run(cfg, state0)
-    cfl = stability_report(replace(cfg, dt=states.dt_max), state0.field())
-    dm, dq = conservation_drift(states)
-    ts, ps = track_positions(states, cfg)
+    """Run the family wave from cfg.t0 over cfg.T, on the grid choose_N picks
+    when cfg.N is None, and measure its speed per unit pseudo-time against
+    law.C (Simulation); does no I/O.  Raises ValueError for fewer than 3
+    snapshots, and PhaseAliasing when the law moves the wave by L/(2n) or
+    more between two snapshots, n the dominant mode: the unwrapped phase of
+    track_positions would then alias."""
+    tail = None
+    if cfg.N is None:
+        N, tail = choose_N(cfg, fam, law)
+        cfg = replace(cfg, N=N)
+    uhat0 = init_from_family(cfg, fam, law)
+    result = run(cfg, uhat0)
+    cfl = stability_report(cfg, np.fft.ifft(uhat0).real, result.dt_max)
+    dm, dq = conservation_drift(result, cfg)
+    ts, ps = result.ts, track_positions(result, cfg)
     shift = float(np.max(np.abs(np.diff(wave_position(law, ts)))))
-    limit = cfg.length / (2.0 * dominant_mode(states[0]))
+    limit = cfg.length / (2.0 * dominant_mode(uhat0))
     if not shift < limit:
         raise PhaseAliasing("the wave moves %.4g between snapshots, at least L/(2n) = %.4g for its dominant "
                             "mode n, so its phase cannot be unwrapped; shorten T" % (shift, limit))
@@ -510,7 +511,7 @@ def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulatio
         mean_h = (taus[1:] - taus[0]) / (ts[1:] - ts[0])
         v_meas = ps[1:] / (ts[1:] - ts[0])
     vel_err = abs(slope - law.C) / max(abs(law.C), 1e-30)
-    return Simulation(cfg, states, cfl, dm, dq, np.column_stack((ts[1:], v_meas, law.C * mean_h)),
+    return Simulation(cfg, result, tail, cfl, dm, dq, np.column_stack((ts[1:], v_meas, law.C * mean_h)),
                       slope * float(mean_h[-1]), vel_err, fit_resid)
 
 
@@ -533,12 +534,13 @@ def config_hash(cfg: SimConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def write_snapshots(states: list[SimState], cfg: SimConfig, outdir: str | Path) -> Path:
-    """Write (x, u) tables per snapshot under run-<hash>/; returns the run dir."""
+def write_snapshots(run: Run, cfg: SimConfig, outdir: str | Path) -> Path:
+    """Write an (x, u) table per snapshot of run under run-<hash>/; returns
+    the run dir."""
     rundir = Path(outdir) / ("run-%s" % config_hash(cfg))
     rundir.mkdir(parents=True, exist_ok=True)
     # the grid column is formatted once; each snapshot fills in its u column
     template = "x,u\n" + "".join("%.17g,%%.17g\n" % (xv,) for xv in cfg.grid())
-    for i, s in enumerate(states):
-        (rundir / ("snapshot-%03d.csv" % i)).write_text(template % tuple(s.field().tolist()))
+    for i, u in enumerate(run.fields()):
+        (rundir / ("snapshot-%03d.csv" % i)).write_text(template % tuple(u.tolist()))
     return rundir

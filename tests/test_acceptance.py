@@ -197,9 +197,9 @@ def test_criterion_8_property_suites(capsys):
 
     def final_error(dt):
         cfg = sim.SimConfig(p=p, N=128, dt=dt, T=0.5)
-        states = sim.run(cfg, sim.init_from_family(cfg, fam), snapshots=2)
+        r = sim.run(cfg, sim.init_from_family(cfg, fam), snapshots=2)
         return np.max(
-            np.abs(states[-1].field() - waves.evaluate(fam, cfg.grid(), states[-1].t))
+            np.abs(r.fields()[-1] - waves.evaluate(fam, cfg.grid(), r.ts[-1]))
         )
 
     factor = float(final_error(2e-3) / final_error(1e-3))

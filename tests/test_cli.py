@@ -175,6 +175,9 @@ class TestSolve:
         ["solve", "-d=inf"],
         ["solve", "-b=1e400"],
         ["simulate", "-d=-inf"],
+        ["simulate", "--T=inf"],
+        ["simulate", "--dt=nan"],
+        ["simulate", "--t0=inf"],
     ])
     def test_non_finite_parameters_are_usage_errors(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -417,9 +420,16 @@ class TestSimulate:
         assert code == 0 and "v_measured = -24.249999045206739" in out
 
     def test_final_time_below_one_step_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "simulate", "--T", "1e-5", "--outdir", str(tmp_path))
+        code, _, err = run_cli(capsys, "simulate", "--dt", "1e-4", "--T", "1e-5", "--outdir", str(tmp_path))
         assert code == 2
         assert err.startswith("error:") and "no time step" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("length", ["-5", "inf"])
+    def test_window_length_that_is_not_positive_and_finite_is_usage_error(self, capsys, tmp_path, length):
+        code, _, err = run_cli(capsys, "simulate", "-m", "1", "--window-length", length, "--outdir", str(tmp_path))
+        assert code == 2
+        assert err == "error: window length must be positive and finite, got %s\n" % (length,)
         assert not list(tmp_path.iterdir())
 
     def test_time_outside_the_table_is_usage_error(self, capsys, tmp_path):
@@ -454,6 +464,13 @@ class TestStepChoice:
     @staticmethod
     def _summary(out: str) -> dict[str, str]:
         return dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line)
+
+    def test_controlled_run_shorter_than_its_first_trial_step_runs(self, capsys, tmp_path):
+        # no dt was given, so none is too long: one step per snapshot interval
+        code, out, _ = run_cli(capsys, "simulate", "--T", "1e-5", "--outdir", str(tmp_path))
+        assert code == 0
+        summary = self._summary(out)
+        assert summary["steps"] == "50" and float(summary["velocity_rel_error"]) < 1e-10
 
     @pytest.mark.parametrize("dt", ["1e-3", "2e-3"])
     def test_fixed_step_keeps_a_long_run_within_bounds(self, capsys, tmp_path, dt):
