@@ -18,12 +18,6 @@ from numbers import Real
 
 from .symexpr import EllipticExpr, EllipticMonomial, ParamPoly
 
-# Symbols treated as nonzero when an extracted equation is normalized: the
-# ansatz amplitudes (a trivial A=B=0 wave carries no constraint) and the
-# elliptic parameter, which must be positive for a genuine elliptic wave.
-DEFAULT_NONZERO = ("A", "B", "m")
-
-
 @dataclass(frozen=True)
 class PdeParams:
     """Coefficients of u_t + a*u*u_x + b*u^2*u_x + d*u_xxx = 0 plus the
@@ -138,8 +132,8 @@ def residual_timedep(u: EllipticExpr) -> EllipticExpr:
 def extract_system(
     residual: EllipticExpr,
     unknowns: tuple[str, ...],
-    assume_nonzero: tuple[str, ...] = DEFAULT_NONZERO,
-    time_constant: tuple[str, ...] = (),
+    assume_nonzero: tuple[str, ...],
+    time_constant: tuple[str, ...],
 ) -> AlgebraicSystem:
     """One equation per nonzero basis coefficient, in the deterministic basis
     order, each normalized by rational content, by monomial content over the
@@ -163,6 +157,9 @@ def derive_system(order: int, timedep: bool = False) -> AlgebraicSystem:
     """Full derivation pipeline: ansatz -> residual -> extracted system."""
     spec = AnsatzSpec(order)
     u = build_ansatz(spec)
+    # treated as nonzero when an equation is normalized: the amplitudes (a
+    # trivial all-zero wave carries no constraint) and the elliptic parameter,
+    # which must be positive for a genuine elliptic wave
     nonzero = spec.amplitude_symbols + ("m",)
     if timedep:
         res = residual_timedep(u)

@@ -45,7 +45,7 @@ CONSTRAINT_TOL = 1e-7
 # (0.36 s for 1e-1000000), and float reads such a number as 0 or inf anyway.
 EXPONENT_LIMIT = 10_000
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*$")
-# The keys a config file may set: those some command reads with _opt.
+# The keys a config file may set, each read as the flag of the same name.
 CONFIG_KEYS = ("a", "b", "d", "m", "timedep", "N", "dt", "T", "periods", "window-length", "f", "t-ref", "t0")
 
 # The exit code of each error class a command may end with; any other
@@ -82,10 +82,11 @@ def _positive_int(text: str) -> int:
     return val
 
 
-def _read_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    out = {}
+def _config_flags(path: str) -> list[str]:
+    """The config file at path as command-line flags, one "flag=value" token
+    per key: a, b, d and m are short options (-a), every other key a long one
+    (--N, --T and --f too); "timedep = true" is the bare --timedep."""
+    flags = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,21 +94,14 @@ def _read_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError("bad config line (expected key = value): %r" % (raw,))
         key, _, val = line.partition("=")
-        key = key.strip()
+        key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ValueError("unknown config key %r (expected one of %s)" % (key, ", ".join(CONFIG_KEYS)))
-        out[key] = val.strip()
-    return out
-
-
-def _opt(args, filecfg: dict[str, str], name: str, default, conv=float):
-    """Precedence: command-line flag > config file > default."""
-    val = getattr(args, name.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if name in filecfg:
-        return conv(filecfg[name])
-    return default
+        if key != "timedep":
+            flags.append("%s=%s" % ("-" + key if key in ("a", "b", "d", "m") else "--" + key, val))
+        elif val.lower() == "true":
+            flags.append("--timedep")
+    return flags
 
 
 def _exact(text: str) -> Fraction:
@@ -131,24 +125,13 @@ class _Params:
         self.exact = {k: _exact(v) for k, v in text.items()}
 
 
-def _params_from(args, filecfg) -> _Params:
-    return _Params(
-        a=str(_opt(args, filecfg, "a", "0", str)),
-        b=str(_opt(args, filecfg, "b", "1", str)),
-        d=str(_opt(args, filecfg, "d", "1", str)),
-        m=str(_opt(args, filecfg, "m", "0.5", str)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_derive(args) -> int:
-    filecfg = _read_config(args.config)
-    timedep = bool(_opt(args, filecfg, "timedep", False, lambda s: s.lower() == "true"))
-    system = derive_system(args.order, timedep=timedep)
+    system = derive_system(args.order, timedep=args.timedep)
     body = system.text()
     if system.time_constant:
         body += "\n# time-constant coefficients: %s" % (", ".join(system.time_constant),)
@@ -168,8 +151,7 @@ def _family_record(fam) -> str:
 
 
 def cmd_solve(args) -> int:
-    filecfg = _read_config(args.config)
-    params = _params_from(args, filecfg)
+    params = _Params(args.a, args.b, args.d, args.m)
     fams = solve_closed_form(params.floats)
     for fam in fams:
         print(_family_record(fam))
@@ -204,8 +186,7 @@ def _parse_perturb(spec: str) -> dict[str, Fraction]:
 
 
 def cmd_verify(args) -> int:
-    filecfg = _read_config(args.config)
-    params = _params_from(args, filecfg)
+    params = _Params(args.a, args.b, args.d, args.m)
     system = derive_system(1)
     if args.show_system:
         print(system.text())
@@ -265,18 +246,11 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAIL if failures else EXIT_OK
 
 
-def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
-    p = params.floats
-    N = _opt(args, filecfg, "N", None, int)  # none given: chosen from the profile's spectrum
-    dt = _opt(args, filecfg, "dt", None)  # none given: the step is error-controlled
-    T = float(_opt(args, filecfg, "T", 1.0))
-    periods = int(_opt(args, filecfg, "periods", 1, int))
-    window = _opt(args, filecfg, "window-length", None)
-    fspec = str(_opt(args, filecfg, "f", "unit", str))
-    f = waves.parse_coefficient(fspec)
+def _run_simulation(args) -> tuple[int, list[str]]:
+    p = _Params(args.a, args.b, args.d, args.m).floats
+    f = waves.parse_coefficient(args.f)
     timedep = not isinstance(f, waves.UnitCoefficient)
-    t_ref = float(_opt(args, filecfg, "t-ref", 1.0))
-    t0 = float(_opt(args, filecfg, "t0", t_ref if timedep else 0.0))
+    t0 = args.t0 if args.t0 is not None else (args.t_ref if timedep else 0.0)
 
     fams = solve_closed_form(p)
     fam = next(
@@ -284,14 +258,13 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
     )
     if timedep:
         v0 = fam.v if args.v0 is None else float(args.v0)
-        law = waves.VelocityLaw.time_dependent(fam.v, f, v0=v0, t_ref=t_ref)
+        law = waves.VelocityLaw.time_dependent(fam.v, f, v0=v0, t_ref=args.t_ref)
     else:
         law = waves.VelocityLaw.constant(fam.v)
 
     cfg = sim.SimConfig(
-        p=p, N=N, T=T, periods=periods, f=f, t0=t0,
-        window_length=float(window) if window is not None else None,
-        **({"adaptive": True} if dt is None else {"dt": float(dt)}),
+        p=p, N=args.N, T=args.T, periods=args.periods, f=f, t0=t0, window_length=args.window_length,
+        **({"adaptive": True} if args.dt is None else {"dt": args.dt}),
     )
     result = sim.simulate(cfg, fam, law)
     rundir = sim.write_snapshots(result.run, result.cfg, args.outdir)
@@ -321,15 +294,13 @@ def _run_simulation(params: _Params, args, filecfg) -> tuple[int, list[str]]:
 
 
 def cmd_simulate(args) -> int:
-    filecfg = _read_config(args.config)
-    code, lines = _run_simulation(_params_from(args, filecfg), args, filecfg)
+    code, lines = _run_simulation(args)
     for line in lines:
         print(line)
     return code
 
 
 def cmd_sweep(args) -> int:
-    filecfg = _read_config(args.config)
     values = [v.strip() for v in args.sweep_values.split(",") if v.strip()]
     if not values:
         print("error: empty sweep value list", file=sys.stderr)
@@ -340,7 +311,7 @@ def cmd_sweep(args) -> int:
         sub_args = argparse.Namespace(**vars(args))
         setattr(sub_args, args.sweep_param.replace("-", "_"), value)
         try:
-            code, lines = _run_simulation(_params_from(sub_args, filecfg), sub_args, filecfg)
+            code, lines = _run_simulation(sub_args)
         except (*ERROR_EXITS, ValueError) as exc:  # the other values still run
             code, lines = _exit_code(exc), ["error: %s" % (exc,)]
         print("--- %s = %s ---" % (args.sweep_param, value))
@@ -356,22 +327,22 @@ def cmd_sweep(args) -> int:
 
 
 def _add_param_flags(sub):
-    sub.add_argument("-a", type=str, default=None, help="quadratic nonlinearity coefficient")
-    sub.add_argument("-b", type=str, default=None, help="cubic nonlinearity coefficient")
-    sub.add_argument("-d", type=str, default=None, help="dispersion coefficient")
-    sub.add_argument("-m", type=str, default=None, help="elliptic parameter in (0, 1]")
+    sub.add_argument("-a", type=str, default="0", help="quadratic nonlinearity coefficient")
+    sub.add_argument("-b", type=str, default="1", help="cubic nonlinearity coefficient")
+    sub.add_argument("-d", type=str, default="1", help="dispersion coefficient")
+    sub.add_argument("-m", type=str, default="0.5", help="elliptic parameter in (0, 1]")
     sub.add_argument("--config", type=str, default=None, help="flat key=value config file")
 
 
 def _add_sim_flags(sub):
-    sub.add_argument("--N", type=int, default=None, help="grid points (power of two)")
-    sub.add_argument("--dt", type=float, default=None, help="time step")
-    sub.add_argument("--T", type=float, default=None, help="final time")
-    sub.add_argument("--periods", type=int, default=None, help="elliptic periods in the domain")
+    sub.add_argument("--N", type=int, default=None, help="grid points (power of two); default: chosen from the spectrum")
+    sub.add_argument("--dt", type=float, default=None, help="time step; default: error-controlled")
+    sub.add_argument("--T", type=float, default=1.0, help="final time")
+    sub.add_argument("--periods", type=int, default=1, help="elliptic periods in the domain")
     sub.add_argument("--window-length", type=float, default=None, help="explicit domain for m=1 runs")
-    sub.add_argument("--f", type=str, default=None, help="time coefficient: unit|exp:R|poly:c0,c1,..|tab:t:f,..")
-    sub.add_argument("--t0", type=float, default=None, help="start time")
-    sub.add_argument("--t-ref", type=float, default=None, help="reference time of the velocity law")
+    sub.add_argument("--f", type=str, default="unit", help="time coefficient: unit|exp:R|poly:c0,c1,..|tab:t:f,..")
+    sub.add_argument("--t0", type=float, default=None, help="start time; default: t-ref for a time-dependent f, else 0")
+    sub.add_argument("--t-ref", type=float, default=1.0, help="reference time of the velocity law")
     sub.add_argument("--v0", type=float, default=None, help="velocity at t_ref")
     sub.add_argument("--sign-a", type=int, choices=(1, -1), default=1, help="sign of the cn amplitude")
     sub.add_argument("--sign-b", type=int, choices=(1, -1), default=1, help="sign of the dn amplitude")
@@ -390,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_derive = subs.add_parser("derive", help="derive the algebraic system for an ansatz order")
     p_derive.add_argument("--order", type=_positive_int, required=True)
-    p_derive.add_argument("--timedep", action="store_true", default=None)
+    p_derive.add_argument("--timedep", action="store_true")
     p_derive.add_argument("--output", type=str, default=None, help="also save the system to a file")
     p_derive.add_argument("--config", type=str, default=None)
     p_derive.set_defaults(func=cmd_derive)
@@ -429,11 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A --config file is read as flags placed between the
+    command and the rest of the line, so the line's own flags win and the
+    parser supplies every default; keys the command has no flag for are left
+    over from that parse and ignored."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_known_args([argv[0], *_config_flags(args.config), *argv[1:]])[0]
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+    except ValueError as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (*ERROR_EXITS, ValueError) as exc:

@@ -313,7 +313,9 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     estimate per unit tau is at most RTOL, proposing the next by the
     third-order rule dt * SAFETY * (RTOL / estimate)^(1/3), capped by the
     advective CFL bound; an interval's plan, and so the ETDRK4 coefficients,
-    change only when the proposal no longer fits it.  A step that gives
+    change only when the proposal no longer fits it.  A step below MIN_STEP
+    times the run's span raises StabilityError, and a run whose CFL bound is
+    below that floor is refused before its first step.  A step that gives
     non-finite values raises SimulationBlowUp in either kind of run.  A
     negative f runs tau backward.
     """
@@ -335,6 +337,11 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
         cfl = stability_report(cfg, u0, cfg.dt)
         span = abs(taus[-1] - taus[0])
         cap = cfg.dt * RK4_IMAG_STABILITY / cfl if cfl > 0 else span
+        if cap < MIN_STEP * span:
+            raise StabilityError(
+                "T=%.3g is too long for error control: the advective CFL bound caps the step at %.3g, "
+                "so the run needs more than %.3g steps" % (cfg.T, cap, 1.0 / MIN_STEP)
+            )
         dt, tol = min(cfg.dt, cap), RTOL
     else:
         cfl = stability_report(cfg, u0, float(np.max(np.abs(hs))))
@@ -392,17 +399,17 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     return Run(ts, uhat, steps, rejected, dt_max)
 
 
-def spectral_residual(fam: SolutionFamily, N: int = 256, window_length: float = 60.0) -> float:
+def spectral_residual(fam: SolutionFamily, N: int = 256) -> float:
     """L-infinity norm of u_t + a*u*u_x + b*u^2*u_x + d*u_xxx for the family
     profile, with derivatives taken spectrally on N points.
 
     For the traveling profile u_t = -v*u_x, so the residual collapses to
     (-v + a*u + b*u^2)*u_x + d*u_xxx.  The domain is a simulation's
-    (SimConfig.length): m=1 uses a wide window in place of the divergent
+    (SimConfig.length): m=1 uses a window of length 60 in place of the divergent
     elliptic period.
     """
     a, b, d, _ = fam.params.as_floats()
-    cfg = SimConfig(fam.params, N=N, window_length=window_length)
+    cfg = SimConfig(fam.params, N=N, window_length=60.0)
     L = cfg.length
     u = np.asarray(evaluate(fam, cfg.grid(), 0.0), dtype=float)
     k = _wavenumbers(N, L)

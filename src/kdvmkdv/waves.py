@@ -355,29 +355,30 @@ def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
 # and forward for times within two steps of t_ref.
 _CENTRAL_STENCIL = (np.arange(-2.0, 3.0), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)
 _FORWARD_STENCIL = (np.arange(0.0, 5.0), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
+# The stencil spacing.  The stencil errs by about STENCIL_DT^4 * C times the
+# fourth derivative of h, which stays below the check's 1e-7 where h varies
+# fast: next to a minimum 1e-4 of f a second-order stencil errs by 5e-3.  It is
+# a power of two, so the stencil points t + k*STENCIL_DT are exact: a rounded
+# point would shift v by dv/dt * ulp(t), which next to that minimum the stencil
+# turns into 1e-6.
+STENCIL_DT = 2.0**-17
 
 
-def constraint_residual(law: VelocityLaw, t, form: str = "constraint", dt: float = 2.0**-17):
+def constraint_residual(law: VelocityLaw, t, form: str = "constraint"):
     """|v + t*dv/dt - C*h(t)| with dv/dt by fourth-order differences; 'form'
     picks the quadrature law ('constraint') or the published formula
-    ('paper').  The speed at every stencil point comes from one call.
-
-    The stencil errs by about dt^4 * C times the fourth derivative of h, which
-    stays below the check's 1e-7 where h varies fast: next to a minimum 1e-4
-    of f a second-order stencil errs by 5e-3.  dt is a power of two, so the
-    stencil points t + k*dt are exact: a rounded point would shift v by
-    dv/dt * ulp(t), which next to that minimum the stencil turns into 1e-6.
-    Times within 2*dt of t_ref take the forward stencil, which keeps the
+    ('paper').  The speed at every stencil point comes from one call.  Times
+    within 2*STENCIL_DT of t_ref take the forward stencil, which keeps the
     evaluation inside [t_ref, inf).
     """
     vf = velocity_at if form == "constraint" else velocity_paper_form
     t = _times(t)
-    central = t - 2.0 * dt >= law.t_ref
+    central = t - 2.0 * STENCIL_DT >= law.t_ref
     axis = (slice(None),) + (None,) * np.ndim(t)
     offsets, weights = (np.where(central, c[axis], f[axis]) for c, f in zip(_CENTRAL_STENCIL, _FORWARD_STENCIL))
-    vs = vf(law, t + dt * offsets)
+    vs = vf(law, t + STENCIL_DT * offsets)
     v = np.where(central, vs[2], vs[0])
-    dv = np.sum(weights * vs, axis=0) / dt
+    dv = np.sum(weights * vs, axis=0) / STENCIL_DT
     h = 1.0 / law.f.value(t)
     res = v + t * dv - law.C * h
     return res if np.ndim(t) else float(res)

@@ -131,7 +131,7 @@ class TestResidualTimedep:
 
 class TestExtractSystem:
     def test_zero_residual_gives_empty_system(self):
-        system = extract_system(EllipticExpr.zero(), unknowns=("A", "B"))
+        system = extract_system(EllipticExpr.zero(), unknowns=("A", "B"), assume_nonzero=NORMALIZE_OVER, time_constant=())
         assert len(system) == 0
 
     def test_lowest_monomial_equation_and_redundancy(self):
@@ -147,7 +147,7 @@ class TestExtractSystem:
     def test_prebinding_a_zero_forces_offset_zero(self):
         u = build_ansatz(AnsatzSpec(1))
         res = residual_constant(u).substitute({"a": Fraction(0)})
-        system = extract_system(res, unknowns=("A", "B", "D", "v"))
+        system = extract_system(res, unknowns=("A", "B", "D", "v"), assume_nonzero=NORMALIZE_OVER, time_constant=())
         eq_by_mono = dict(zip(system.monomials, system.equations))
         # the mKdV specialization: the offset equation collapses to b*D = 0
         assert eq_by_mono[EllipticMonomial(3, 0, 0)] == b * D

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: subcommands, exit codes, golden
 output, config precedence, and output determinism."""
 
+import argparse
 import hashlib
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 import kdvmkdv
 from kdvmkdv import sim, solver, waves
 from kdvmkdv.ansatz import PdeParams, derive_system
-from kdvmkdv.cli import _exact, build_parser, main
+from kdvmkdv.cli import CONFIG_KEYS, _config_flags, _exact, build_parser, main
 from kdvmkdv.elliptic import complete_K
 from kdvmkdv.solver import solve_closed_form
 
@@ -495,6 +496,19 @@ class TestStepChoice:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "too large for this run" in err
 
+    @pytest.mark.parametrize("T", ["1e13", "1e300"])
+    def test_run_too_long_for_the_step_floor_is_numerical_failure(self, capsys, tmp_path, T):
+        # the CFL bound caps the step at 0.0244 on the chosen N=64 grid, below
+        # MIN_STEP times the run's span, so no step could ever be accepted
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--T", T, "--outdir", str(outdir))
+        assert (code, out) == (4, "")
+        assert err == (
+            "error: T=%.3g is too long for error control: the advective CFL bound caps the step at 0.0244, "
+            "so the run needs more than 1e+12 steps\n" % (float(T),)
+        )
+        assert not outdir.exists()
+
     def test_default_step_keeps_a_long_run_within_bounds(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "simulate", "--N", "256", "--T", "10", "--outdir", str(tmp_path))
         assert code == 0
@@ -703,3 +717,43 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "solve", "--config", str(cfg))
         assert code == 2
         assert "key = value" in err
+
+    def test_verify_reads_the_velocity_law_from_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("f = exp:0.5\nt-ref = 2\n")
+        from_file = run_cli(capsys, "verify", "--timedep", "--config", str(cfg))
+        from_flags = run_cli(capsys, "verify", "--timedep", "--f", "exp:0.5", "--t-ref", "2")
+        assert from_file == from_flags
+        assert from_file[0] == 0 and from_file[1] != run_cli(capsys, "verify", "--timedep")[1]
+
+    def test_timedep_in_the_file_checks_the_velocity_law(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timedep = True\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert "PASS velocity-constraint:" in out and "REPORT velocity-paper-form:" in out
+
+    def test_bad_value_in_the_file_is_reported_as_the_flag_would_be(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("T = abc\n")
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg), "--outdir", str(outdir))
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "kdvmkdv simulate: error: argument --T: invalid float value: 'abc'"
+        assert not outdir.exists()
+
+    def test_keys_a_command_has_no_flag_for_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dt = 1e-3\nT = 0.02\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(cfg))
+        assert code == 0
+        assert run_cli(capsys, "verify") == (code, out, "")
+
+    def test_every_key_is_the_flag_of_some_command(self, tmp_path):
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("".join("%s = %s\n" % (key, "true" if key == "timedep" else "1") for key in CONFIG_KEYS))
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {opt for sub in subparsers.choices.values() for opt in sub._option_string_actions}
+        flags = [token.split("=", 1)[0] for token in _config_flags(str(cfg))]
+        assert len(flags) == len(CONFIG_KEYS)
+        assert [flag for flag in flags if flag not in options] == []
