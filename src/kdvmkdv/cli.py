@@ -86,8 +86,12 @@ def _config_flags(path: str) -> list[str]:
     """The config file at path as command-line flags, one "flag=value" token
     per key: a, b, d and m are short options (-a), every other key a long one
     (--N, --T and --f too); "timedep = true" is the bare --timedep."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError("cannot read config file %r: %s" % (path, exc.strerror or exc))
     flags = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -247,6 +247,60 @@ class PolynomialCoefficient(Coefficient):
             raise CoefficientSingularity("coefficient singularity: f is identically zero")
 
 
+def _end_slope(h0, h1, m0, m1):
+    """The three-point one-sided slope at an end knot, set to 0 where its sign
+    differs from the end secant m0 and limited to 3*m0 where the secants
+    change sign (Moler, Numerical Computing with MATLAB, sec. 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _monotone_cubic(x, y):
+    """The monotone piecewise cubic through (x, y) of Fritsch & Butland (SIAM
+    J. Sci. Stat. Comput. 5, 1984, 300), as a function of t.  The slope at an
+    inner knot is the weighted harmonic mean of its two secants, or 0 where
+    they change sign or one vanishes; a two-knot table is the straight line.
+    Every operation is in the order of PchipInterpolator and of its PPoly
+    evaluation (a power sum, not Horner's rule), so the values are bitwise
+    theirs, as the tests check.  t beyond the ends extends the end cubics."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if len(x) < 2:
+        raise ValueError("a tabulated f needs at least two knots")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("a tabulated f needs finite times and values")
+    h = np.diff(x)
+    if np.any(h <= 0):
+        raise ValueError("the times of a tabulated f must be strictly increasing")
+    m = np.diff(y) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            harmonic = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate(([_end_slope(h[0], h[1], m[0], m[1])], harmonic,
+                            [_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    q = (d[:-1] + d[1:] - 2 * m) / h
+    # c0..c3 of each interval's cubic in t - x[i]; PPoly's sum starts from +0.0
+    coefs = np.stack([q / h, (m - d[:-1]) / h - q, d[:-1], 0.0 + y[:-1]])
+    inner_knots = x[1:-1]
+
+    def evaluate(ts):
+        ts = np.asarray(ts, dtype=float)
+        i = np.searchsorted(inner_knots, ts, "right")  # the interval, the end ones extended
+        s = ts - x[i]
+        c0, c1, c2, c3 = coefs[:, i]
+        ss = s * s
+        return ((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class TabulatedCoefficient(Coefficient):
     """f(t) sampled at (times, values), monotone-cubic interpolated.  Times
@@ -259,9 +313,7 @@ class TabulatedCoefficient(Coefficient):
 
     @cached_property
     def _spline(self):
-        from scipy.interpolate import PchipInterpolator
-
-        return PchipInterpolator(np.asarray(self.times), np.asarray(self.values))
+        return _monotone_cubic(self.times, self.values)
 
     def value(self, t):
         lo, hi = self.times[0], self.times[-1]

@@ -32,26 +32,34 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy is imported only by the calls that integrate or interpolate."""
+def test_cli_runs_without_scipy(tmp_path):
+    """With scipy made unimportable before kdvmkdv.cli is imported, verify
+    --timedep and a short simulate for an exponential, a polynomial and a
+    kinked tabulated f each exit 0 and print and write what they do with it."""
     src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, kdvmkdv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
-
-
-def test_timedep_verify_leaves_scipy_integrate_unloaded():
-    """The velocity law integrates without scipy.integrate."""
-    src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    kinked = "tab:0.5:1.00000,1.02:1.44000,2.2:1.07000,3.4:1.49000,4.7:1.59000,6:0.67000"
     code = (
-        "import sys, kdvmkdv.cli\n"
-        "rc = kdvmkdv.cli.main(['verify', '--timedep', '--f', 'poly:1.2,0.25,0.03'])\n"
-        "print(rc, 'scipy.integrate' in sys.modules)"
+        "import sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "import kdvmkdv.cli\n"
+        "calls = [['verify', '--timedep', '--f', 'poly:1.2,0.25,0.03']] + [\n"
+        "    ['simulate', '--f', f, '--N', '64', '--T', '0.01', '--outdir', sys.argv[2]]\n"
+        "    for f in ('exp:0.5', 'poly:1.2,0.25,0.03', sys.argv[3])]\n"
+        "for argv in calls:\n"
+        "    print('exit', kdvmkdv.cli.main(argv))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "0 False"
+    runs = {}
+    for side in ("blocked", "plain"):
+        out = subprocess.run([sys.executable, "-c", code, side, str(tmp_path / side), kinked],
+                             env=env, capture_output=True, text=True, check=True)
+        files = {p.relative_to(tmp_path / side): p.read_bytes() for p in (tmp_path / side).rglob("*") if p.is_file()}
+        runs[side] = (out.stdout, out.stderr, files)
+    stdout, stderr, files = runs["blocked"]
+    assert [line for line in stdout.splitlines() if line.startswith("exit")] == ["exit 0"] * 4
+    assert stderr == "" and len({path.parts[0] for path in files}) == 3
+    assert runs["blocked"] == runs["plain"]
 
 
 def test_one_parser_serves_every_call(capsys):
@@ -709,6 +717,17 @@ class TestConfigFile:
         key = line.split(" = ")[0]
         assert (code, out) == (2, "")
         assert err.startswith("error: unknown config key %r" % (key,)) and len(err.splitlines()) == 1
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command,name", [("solve", "missing.cfg"), ("simulate", "a-directory")])
+    def test_unreadable_config_file_is_usage_error(self, capsys, tmp_path, command, name):
+        (tmp_path / "a-directory").mkdir()
+        outdir = tmp_path / "out"
+        extra = ["--outdir", str(outdir)] if command == "simulate" else []
+        code, out, err = run_cli(capsys, command, "--config", str(tmp_path / name), *extra)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file %r" % (str(tmp_path / name),))
+        assert len(err.splitlines()) == 1
         assert not outdir.exists()
 
     def test_bad_config_line_is_usage_error(self, capsys, tmp_path):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad, solve_ivp
 
 from kdvmkdv.elliptic import DomainError, complete_K, jacobi
 
@@ -22,6 +21,7 @@ TRIPLE_1_HALF = (0.8030018248956439, 0.5959765676721407, 0.8231610016315963)
 
 def oracle_K(m: float) -> float:
     """K(m) by adaptive quadrature of its defining integral."""
+    quad = pytest.importorskip("scipy.integrate").quad
     val, _ = quad(
         lambda th: 1.0 / math.sqrt(1.0 - m * math.sin(th) ** 2),
         0.0,
@@ -35,6 +35,7 @@ def oracle_K(m: float) -> float:
 
 def oracle_triple(xi: float, m: float) -> tuple[float, float, float]:
     """(sn, cn, dn) by integrating the defining first-order system."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     sol = solve_ivp(
         lambda t, y: [y[1] * y[2], -y[0] * y[2], -m * y[0] * y[1]],
         (0.0, xi),
@@ -48,6 +49,7 @@ def oracle_triple(xi: float, m: float) -> tuple[float, float, float]:
 
 def oracle_sn_scalar(xi: float, m: float) -> float:
     """sn by the scalar defining equation y' = sqrt(1-y^2)*sqrt(1-m*y^2)."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     sol = solve_ivp(
         lambda t, y: [math.sqrt(max(0.0, 1 - y[0] ** 2)) * math.sqrt(max(0.0, 1 - m * y[0] ** 2))],
         (0.0, xi),

@@ -226,6 +226,16 @@ class TestCoefficientDescriptors:
         with pytest.raises(ValueError, match="table"):
             velocity_at(law, 5.0)
 
+    @pytest.mark.parametrize("times,values,message", [
+        ((1.0,), (1.0,), "two knots"),
+        ((1.0, 2.0, 2.0), (1.0, 1.5, 2.0), "strictly increasing"),
+        ((1.0, 3.0, 2.0), (1.0, 1.5, 2.0), "strictly increasing"),
+        ((1.0, 2.0), (1.0, math.nan), "finite"),
+    ])
+    def test_malformed_table_is_refused(self, times, values, message):
+        with pytest.raises(ValueError, match=message):
+            TabulatedCoefficient(times, values).value(1.0)
+
 
 COEFFICIENT_KINDS = {
     "unit": UnitCoefficient(),
@@ -254,16 +264,13 @@ class TestCoefficientProtocol:
         assert closed == pytest.approx(Coefficient.exp_kernel_antiderivative(f, 3.0, 1.0), rel=1e-12)
 
     def test_tabulated_spline_is_built_once(self, monkeypatch):
-        import scipy.interpolate
+        build, builds = waves._monotone_cubic, []
 
-        builds = []
+        def counting_cubic(*args):
+            builds.append(1)
+            return build(*args)
 
-        class CountingPchip(scipy.interpolate.PchipInterpolator):
-            def __init__(self, *args, **kwargs):
-                builds.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", CountingPchip)
+        monkeypatch.setattr(waves, "_monotone_cubic", counting_cubic)
         tab = TabulatedCoefficient((0.5, 1.2, 2.0, 4.0), (1.0, 1.4, 0.9, 1.3))
         p = PdeParams(0, 1, 1, 0.5)
         fam = solve_closed_form(p)[0]
@@ -273,6 +280,35 @@ class TestCoefficientProtocol:
             cfg = sim.SimConfig(p=p, N=64, dt=1e-3, T=0.01, f=tab, t0=1.0, adaptive=adaptive)
             assert sim.run(cfg, sim.init_from_family(cfg, fam, law), snapshots=3).steps >= 3
         assert len(builds) == 1
+
+    def test_tabulated_f_is_bitwise_scipys_pchip(self):
+        """Seeded tables of 2-8 knots, every third rounded to 0.1 so that flat
+        segments and equal neighbours occur, every fourth with values of both
+        signs so that the secants change sign, and one falling from -0.0;
+        each evaluated inside, at its knots and at both ends plus the slack
+        that value admits."""
+        PchipInterpolator = pytest.importorskip("scipy.interpolate").PchipInterpolator
+        rng = np.random.default_rng(19)
+        tables = [(np.array([0.8, 1.5, 3.2]), np.array([-0.0, -0.3, -1.1]))]  # f(0.8) is +0.0
+        for k in range(400):
+            times = np.unique(np.round(rng.uniform(0.5, 6.0, 2 + k % 7), 3))
+            values = rng.uniform(-1.6 if k % 4 == 0 else 0.6, 1.6, times.size)
+            tables.append((times, np.round(values, 1) if k % 3 == 0 else values))
+        kinds = set()
+        for times, values in tables:
+            secants = np.sign(np.diff(values))
+            kinds |= {"two knots"} if times.size == 2 else set()
+            kinds |= {"flat"} if np.any(secants == 0) else set()
+            kinds |= {"sign change"} if np.any(secants[1:] * secants[:-1] < 0) else set()
+            lo, hi = times[0], times[-1]
+            slack = 1e-12 * max(abs(lo), abs(hi))
+            ts = np.concatenate((rng.uniform(lo, hi, 97), times, [lo - slack, hi + slack]))
+            want = PchipInterpolator(times, values)(ts)
+            tab = TabulatedCoefficient(tuple(times), tuple(values))
+            assert tab.value(ts).tobytes() == want.tobytes()
+            ends = slice(-times.size - 2, None)  # the knots and the slack, one scalar call each
+            assert np.array([tab.value(float(t)) for t in ts[ends]]).tobytes() == want[ends].tobytes()
+        assert kinds == {"two knots", "flat", "sign change"}
 
 
 # Knots 1.02 to 4.7 of this table lie inside [1, 5], where f kinks; it is the
@@ -286,7 +322,7 @@ def _oracle_integrals(spec: str, ts: np.ndarray):
     between consecutive times and knots: h = 1/f from the descriptor, the
     table's monotone cubic rebuilt here from scipy's piecewise coefficients."""
     mpmath = pytest.importorskip("mpmath")
-    from scipy.interpolate import PchipInterpolator
+    PchipInterpolator = pytest.importorskip("scipy.interpolate").PchipInterpolator
 
     kind, _, rest = spec.partition(":")
     if kind == "poly":
