@@ -32,6 +32,28 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    """Importing the command line loads no part of scipy."""
+    src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, kdvmkdv.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_timedep_verify_leaves_scipy_integrate_unloaded():
+    """The velocity law integrates without scipy.integrate."""
+    src = str(Path(kdvmkdv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, kdvmkdv.cli\n"
+        "rc = kdvmkdv.cli.main(['verify', '--timedep', '--f', 'poly:1.2,0.25,0.03'])\n"
+        "print(rc, 'scipy.integrate' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_cli_runs_without_scipy(tmp_path):
     """With scipy made unimportable before kdvmkdv.cli is imported, verify
     --timedep and a short simulate for an exponential, a polynomial and a
