@@ -12,6 +12,7 @@ w = v + t*dv/dt and multiplies the spatial part by h = 1/f(t).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -154,7 +155,17 @@ def extract_system(
 
 
 def derive_system(order: int, timedep: bool = False) -> AlgebraicSystem:
-    """Full derivation pipeline: ansatz -> residual -> extracted system."""
+    """Full derivation pipeline: ansatz -> residual -> extracted system.
+
+    Each (order, timedep) is derived once per process, and every later call
+    returns that same system; callers must not alter its equations."""
+    return _derive(order, bool(timedep))
+
+
+# a plain derive_system in front of the memo gives derive_system(1) and
+# derive_system(1, timedep=False) one entry; typed keeps 1.0 from reusing 1
+@functools.lru_cache(maxsize=None, typed=True)
+def _derive(order: int, timedep: bool) -> AlgebraicSystem:
     spec = AnsatzSpec(order)
     u = build_ansatz(spec)
     # treated as nonzero when an equation is normalized: the amplitudes (a

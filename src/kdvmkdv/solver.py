@@ -21,7 +21,9 @@ closed forms are the only real roots of the system.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,7 +138,7 @@ def _reduce(poly: ParamPoly) -> ParamPoly:
 
 def back_substitute_generic(
     system: AlgebraicSystem, perturb: dict[str, Fraction] | None = None
-) -> list[ParamPoly]:
+) -> tuple[ParamPoly, ...]:
     """Substitute the closed forms of all four families into every equation at once.
 
     A = sgnA*sqrtm*sqrtq and B = sgnB*sqrtq carry formal signs, and the
@@ -144,8 +146,21 @@ def back_substitute_generic(
     roots sqrtm, sqrtq and the signs sgnA, sgnB (each to the power 0 or 1).
     `specialize` turns them into the residuals of one family.  perturb adds
     exact offsets to chosen closed-form values of A, B, D, v, e.g.
-    {"v": Fraction(1, 10)}.
+    {"v": Fraction(1, 10)}.  The unperturbed residuals of a system are
+    computed once per process and shared by every caller; a perturbed call
+    substitutes afresh.
     """
+    if not perturb:
+        return _generic_residuals(system)
+    return _substitute_closed_forms(system, perturb)
+
+
+@functools.cache
+def _generic_residuals(system: AlgebraicSystem) -> tuple[ParamPoly, ...]:
+    return _substitute_closed_forms(system, {})
+
+
+def _substitute_closed_forms(system: AlgebraicSystem, perturb: dict[str, Fraction]) -> tuple[ParamPoly, ...]:
     a, b, d, m, binv, sqrtm, sqrtq, sgn_a, sgn_b = map(
         ParamPoly.symbol, ("a", "b", "d", "m", BINV, SQRT_M, SQRT_Q, SGN_A, SGN_B)
     )
@@ -155,15 +170,15 @@ def back_substitute_generic(
         "D": Fraction(-1, 2) * a * binv,
         "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv,
     }
-    for name, delta in (perturb or {}).items():
+    for name, delta in perturb.items():
         if name not in values:
             raise KeyError("cannot perturb unknown symbol %r" % (name,))
         values[name] = values[name] + Fraction(delta)
-    return [_reduce(eq.substitute(values)) for eq in system.equations]
+    return tuple(_reduce(eq.substitute(values)) for eq in system.equations)
 
 
 def specialize(
-    residuals: list[ParamPoly],
+    residuals: Sequence[ParamPoly],
     sign_A: int,
     sign_B: int,
     params: dict[str, Fraction] | None = None,
@@ -180,23 +195,6 @@ def specialize(
         numbers.update(params)
         numbers[BINV] = 1 / params["b"]
     return [r.substitute(numbers) for r in residuals]
-
-
-def residuals_numeric(family: SolutionFamily, system: AlgebraicSystem) -> list[float]:
-    """Float residual of each equation at the family's values: a numeric
-    oracle for the exact back-substitution, independent of its reduction."""
-    a, b, d, m = family.params.as_floats()
-    bindings = {
-        "a": a,
-        "b": b,
-        "d": d,
-        "m": m,
-        "A": family.A,
-        "B": family.B,
-        "D": family.D,
-        "v": family.v,
-    }
-    return [eq.eval(bindings) for eq in system.equations]
 
 
 # ---------------------------------------------------------------------------

@@ -316,13 +316,14 @@ class TabulatedCoefficient(Coefficient):
         return _monotone_cubic(self.times, self.values)
 
     def value(self, t):
+        spline = self._spline  # refuses a malformed table before its range is read
         lo, hi = self.times[0], self.times[-1]
         slack = 1e-12 * max(abs(lo), abs(hi))
         t_min, t_max = (np.min(t), np.max(t)) if np.ndim(t) else (t, t)
         if t_min < lo - slack or t_max > hi + slack:
             bad = t_min if t_min < lo - slack else t_max
             raise ValueError("t=%g is outside the table of f, which covers [%g, %g]" % (bad, lo, hi))
-        out = self._spline(t)
+        out = spline(t)
         return out if np.ndim(t) else float(out)
 
     @property

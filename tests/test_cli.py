@@ -250,13 +250,22 @@ class TestVerify:
         assert lines[exact + 4] == "  equation[sn**3*cn]: 3/2 - 6*sqrtm*sqrtq"
 
     def test_one_reduction_serves_all_eight_checks(self, capsys, monkeypatch):
+        # the unperturbed reduction is made once per process; a perturbed
+        # verify reduces afresh and leaves that memo as it was
+        solver._generic_residuals.cache_clear()
         reduced = []
         reduce = solver._reduce
         monkeypatch.setattr(solver, "_reduce", lambda poly: reduced.append(poly) or reduce(poly))
-        code, out, _ = run_cli(capsys, "verify", "-a", "1", "-b", "2", "-d", "3", "-m", "0.5")
-        assert code == 0
-        assert out.count("PASS symbolic") == 4 and out.count("PASS exact") == 4
-        assert len(reduced) == len(derive_system(1))
+        argv = ("verify", "-a", "1", "-b", "2", "-d", "3", "-m", "0.5")
+        for extra, want_code, want_reductions in (((), 0, 1), (("--perturb", "v=+0.1"), 1, 1), ((), 0, 0)):
+            reduced.clear()
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == want_code
+            if want_code:
+                assert out.count("FAIL symbolic") == 4 and out.count("FAIL exact") == 4
+            else:
+                assert out.count("PASS symbolic") == 4 and out.count("PASS exact") == 4
+            assert len(reduced) == want_reductions * len(derive_system(1))
 
     def test_fractional_perturbation_is_exact(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--perturb", "A=+1/2")
@@ -319,6 +328,22 @@ class TestVerify:
         assert time.perf_counter() - start < 2.0
         assert code == 0 and err == ""
         assert "PASS velocity-constraint" in out
+
+    @pytest.mark.parametrize("spec,code", [
+        ("tab:1", 2), ("tab:1:1", 2), ("tab:0.5:nan,6:1", 2), ("tab:0:1,1:2", 2), ("tab:1:1,3:2", 2),
+        ("bogus", 2), ("poly:1,-0.5", 4),
+    ])
+    def test_unusable_coefficient_is_refused_before_any_check_prints(self, capsys, spec, code):
+        # f is checked over the whole window [t_ref, t_ref + 4] first, so a
+        # refusal leaves stdout empty rather than after twelve PASS lines
+        got, out, err = run_cli(capsys, "verify", "--timedep", "--f", spec)
+        assert (got, out) == (code, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_decreasing_table_is_refused_as_unordered(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--timedep", "--f", "tab:2:1,1:1.2")
+        assert (code, out) == (2, "")
+        assert err == "error: the times of a tabulated f must be strictly increasing\n"
 
     def test_show_system(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--show-system")

@@ -20,8 +20,8 @@ from kdvmkdv.solver import (
     SQRT_Q,
     DegenerateEquation,
     NoRealSolution,
+    SolutionFamily,
     back_substitute_generic,
-    residuals_numeric,
     solve_closed_form,
     solve_numeric,
     specialize,
@@ -46,6 +46,14 @@ def sech_mkdv_residual_fd(amplitude: float, speed: float, b: float, d: float) ->
         uxxx = (u(x + 2 * h, 0) - 2 * u(x + h, 0) + 2 * u(x - h, 0) - u(x - 2 * h, 0)) / (2 * h**3)
         worst = max(worst, abs(ut + b * u(x, 0) ** 2 * ux + d * uxxx))
     return worst
+
+
+def residuals_numeric(family: SolutionFamily, system) -> list[float]:
+    """Float residual of each equation at the family's values: a numeric
+    oracle for the exact back-substitution, independent of its reduction."""
+    a, b, d, m = family.params.as_floats()
+    bindings = {"a": a, "b": b, "d": d, "m": m, "A": family.A, "B": family.B, "D": family.D, "v": family.v}
+    return [eq.eval(bindings) for eq in system.equations]
 
 
 def per_sign_residuals(system, sign_A, sign_B, perturb, params):

@@ -231,6 +231,7 @@ class TestCoefficientDescriptors:
         ((1.0, 2.0, 2.0), (1.0, 1.5, 2.0), "strictly increasing"),
         ((1.0, 3.0, 2.0), (1.0, 1.5, 2.0), "strictly increasing"),
         ((1.0, 2.0), (1.0, math.nan), "finite"),
+        ((2.0, 1.0), (1.0, 1.2), "strictly increasing"),
     ])
     def test_malformed_table_is_refused(self, times, values, message):
         with pytest.raises(ValueError, match=message):
