@@ -24,6 +24,7 @@ estimates and stability numbers are per unit tau.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from math import factorial, isfinite
 from pathlib import Path
@@ -399,25 +400,32 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     return Run(ts, uhat, steps, rejected, dt_max)
 
 
-def spectral_residual(fam: SolutionFamily, N: int = 256) -> float:
-    """L-infinity norm of u_t + a*u*u_x + b*u^2*u_x + d*u_xxx for the family
+def spectral_residuals(fams: Sequence[SolutionFamily], N: int = 256) -> list[float]:
+    """L-infinity norm of u_t + a*u*u_x + b*u^2*u_x + d*u_xxx for each family's
     profile, with derivatives taken spectrally on N points.
 
     For the traveling profile u_t = -v*u_x, so the residual collapses to
     (-v + a*u + b*u^2)*u_x + d*u_xxx.  The domain is a simulation's
     (SimConfig.length): m=1 uses a window of length 60 in place of the divergent
-    elliptic period.
+    elliptic period.  The families share their parameters, so the grid and
+    cn, dn are computed once for all of them.
     """
-    a, b, d, _ = fam.params.as_floats()
-    cfg = SimConfig(fam.params, N=N, window_length=60.0)
-    L = cfg.length
-    u = np.asarray(evaluate(fam, cfg.grid(), 0.0), dtype=float)
-    k = _wavenumbers(N, L)
-    uhat = np.fft.fft(u)
-    ux = np.fft.ifft(1j * k * uhat).real
-    uxxx = np.fft.ifft(-1j * k**3 * uhat).real
-    res = (-fam.v + a * u + b * u**2) * ux + d * uxxx
-    return float(np.max(np.abs(res)))
+    p = fams[0].params
+    if any(fam.params != p for fam in fams):
+        raise ValueError("the families must share their parameters")
+    a, b, d, m = p.as_floats()
+    cfg = SimConfig(p, N=N, window_length=60.0)
+    k = _wavenumbers(N, cfg.length)
+    _, cn, dn = elliptic.jacobi(cfg.grid(), m)
+    out = []
+    for fam in fams:
+        u = fam.A * cn + fam.B * dn + fam.D
+        uhat = np.fft.fft(u)
+        ux = np.fft.ifft(1j * k * uhat).real
+        uxxx = np.fft.ifft(-1j * k**3 * uhat).real
+        res = (-fam.v + a * u + b * u**2) * ux + d * uxxx
+        out.append(float(np.max(np.abs(res))))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_generic can offset
 
 NEWTON_MAX_STEPS = 200
+NEWTON_HALVINGS = 20  # the line search tries the damping 1, 1/2, ... 2**-19
+NORMAL_MIN_RATIO = 1e-10  # below this eigenvalue ratio of J^T J, a step uses pinv(J)
 NEWTON_RESIDUAL_ACCEPT = 1e-10
 ROOT_DEDUP_TOL = 1e-8
 
@@ -242,12 +244,17 @@ def solve_numeric(
     Equations are pre-bound with the numeric a, b, d, m into one float
     coefficient matrix over the monomials of the unknowns (the system's
     unknown symbols: A, B, D, v for the first-order ansatz).  The starts,
-    drawn from a generator seeded with 0, run as one batch: each step evaluates F and J for every active start at once
-    and solves for all of them with one stacked pseudo-inverse; the line
-    search halves each start's damping separately.  Roots with residual norm
-    below 1e-10 are kept, deduplicated at distance 1e-8, and returned sorted
-    lexicographically on their values rounded to 1e-9, far above the noise
-    of the last bits, so that roots with the same A sort by B.
+    drawn from a generator seeded with 0, run as one batch.  Each step
+    evaluates F and J for every active start from one table of powers and
+    takes the Gauss-Newton step from one stacked solve of the normal
+    equations; a start whose normal matrix is ill-conditioned (smallest over
+    largest eigenvalue below NORMAL_MIN_RATIO) takes the pseudo-inverse step
+    instead.  The line search tries the damping 1, 1/2, ... 2**-19 of every
+    start at once and takes the first that lowers its residual norm.  Roots
+    with residual norm below 1e-10 are kept, less those within 1e-8 of an
+    earlier one, and returned sorted lexicographically on their values
+    rounded to 1e-9, far above the noise of the last bits, so that roots
+    with the same A sort by B.
     """
     if seeds < 16:
         raise ValueError("seeds must be >= 16 for meaningful coverage")
@@ -259,13 +266,24 @@ def solve_numeric(
     # dF/dx_k = (C * E[:, k]) @ x**(E - e_k): one lowered exponent matrix per unknown
     dC = C[None, :, :] * E.T[:, None, :]
     dE = np.maximum(E[None, :, :] - np.eye(n, dtype=int)[:, None, :], 0)
+    unknown = np.arange(n)
+    top = int(E.max(initial=0))
+
+    def monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        """x[..., i]**exponents[..., j, i] multiplied over i, gathered from x**0..x**top."""
+        powers = np.empty(x.shape + (top + 1,))
+        powers[..., 0] = 1.0
+        for k in range(1, top + 1):
+            powers[..., k] = powers[..., k - 1] * x
+        return np.prod(powers[..., unknown, exponents], axis=-1)
 
     def fval(x: np.ndarray) -> np.ndarray:
-        return np.prod(x[:, None, :] ** E, axis=2) @ C.T
+        return monomials(x, E) @ C.T
 
     def jval(x: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,skj->sik", dC, np.prod(x[:, None, None, :] ** dE, axis=3))
+        return np.einsum("kij,skj->sik", dC, monomials(x, dE))
 
+    damping = 0.5 ** np.arange(NEWTON_HALVINGS)
     scale = max(1.0, math.sqrt(abs(1.5 * d / b)) if b else 1.0, abs(a / (2 * b)) if b else 1.0)
     rng = np.random.default_rng(0)
     x = rng.uniform(-3.0 * scale, 3.0 * scale, size=(seeds, n))
@@ -276,24 +294,25 @@ def solve_numeric(
         active, norm = active[norm >= 1e-13], norm[norm >= 1e-13]
         if not active.size:
             break
-        step = np.einsum("sij,sj->si", np.linalg.pinv(jval(x[active])), fx[active])
-        lam = np.ones(active.size)
-        searching = np.ones(active.size, dtype=bool)
-        for _ in range(20):
-            k = np.flatnonzero(searching)
-            x_new = x[active[k]] - lam[k, None] * step[k]
-            f_new = fval(x_new)
-            better = np.linalg.norm(f_new, axis=1) < norm[k]
-            accepted = active[k[better]]
-            x[accepted], fx[accepted] = x_new[better], f_new[better]
-            searching[k[better]] = False
-            lam[k[~better]] *= 0.5
-            if not searching.any():
-                break
-        active = active[~searching]  # a start whose 20 halvings all failed stops
-    roots: list[np.ndarray] = []
-    for root in x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]:
-        if not any(np.linalg.norm(root - r) < ROOT_DEDUP_TOL for r in roots):
-            roots.append(root)
+        J, f = jval(x[active]), fx[active]
+        JtJ = np.einsum("sik,sil->skl", J, J)
+        Jtf = np.einsum("sik,si->sk", J, f)
+        eig = np.linalg.eigvalsh(JtJ)  # ascending
+        well = eig[:, 0] > NORMAL_MIN_RATIO * eig[:, -1]
+        step = np.empty_like(Jtf)
+        if well.any():
+            step[well] = np.linalg.solve(JtJ[well], Jtf[well, :, None])[..., 0]
+        if not well.all():
+            step[~well] = np.einsum("sij,sj->si", np.linalg.pinv(J[~well]), f[~well])
+        x_try = x[active, None, :] - damping[None, :, None] * step[:, None, :]
+        f_try = fval(x_try)
+        lower = np.linalg.norm(f_try, axis=2) < norm[:, None]
+        moved = lower.any(axis=1)  # a start whose every damping failed stops
+        first = lower.argmax(axis=1)[moved]
+        active = active[moved]
+        x[active], fx[active] = x_try[moved, first], f_try[moved, first]
+    found = x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]
+    near = np.linalg.norm(found[:, None, :] - found[None, :, :], axis=2) < ROOT_DEDUP_TOL
+    roots = list(found[~np.tril(near, -1).any(axis=1)])
     roots.sort(key=lambda r: tuple(np.round(r, 9)))
     return roots

@@ -405,7 +405,8 @@ def velocity_paper_form(law: VelocityLaw, t) -> float | np.ndarray:
 
 
 # Fourth-order first-derivative stencils (offsets in steps, weights): central,
-# and forward for times within two steps of t_ref.
+# and forward for times within two steps of t_ref (mirrored: backward, within
+# two steps of the latest time).
 _CENTRAL_STENCIL = (np.arange(-2.0, 3.0), np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0)
 _FORWARD_STENCIL = (np.arange(0.0, 5.0), np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0)
 # The stencil spacing.  The stencil errs by about STENCIL_DT^4 * C times the
@@ -421,14 +422,18 @@ def constraint_residual(law: VelocityLaw, t, form: str = "constraint"):
     """|v + t*dv/dt - C*h(t)| with dv/dt by fourth-order differences; 'form'
     picks the quadrature law ('constraint') or the published formula
     ('paper').  The speed at every stencil point comes from one call.  Times
-    within 2*STENCIL_DT of t_ref take the forward stencil, which keeps the
-    evaluation inside [t_ref, inf).
+    within 2*STENCIL_DT of t_ref take the forward stencil, and times within
+    2*STENCIL_DT of the latest time asked for the backward one, which keeps
+    the evaluation inside [t_ref, max(t)]: a table of f that covers the times
+    asked for covers the stencil too.
     """
     vf = velocity_at if form == "constraint" else velocity_paper_form
     t = _times(t)
-    central = t - 2.0 * STENCIL_DT >= law.t_ref
+    forward = t - 2.0 * STENCIL_DT < law.t_ref
+    central = ~forward & (t + 2.0 * STENCIL_DT <= np.max(t))
+    mirror = np.where(forward, 1.0, -1.0)  # the backward stencil is the forward one mirrored
     axis = (slice(None),) + (None,) * np.ndim(t)
-    offsets, weights = (np.where(central, c[axis], f[axis]) for c, f in zip(_CENTRAL_STENCIL, _FORWARD_STENCIL))
+    offsets, weights = (np.where(central, c[axis], mirror * f[axis]) for c, f in zip(_CENTRAL_STENCIL, _FORWARD_STENCIL))
     vs = vf(law, t + STENCIL_DT * offsets)
     v = np.where(central, vs[2], vs[0])
     dv = np.sum(weights * vs, axis=0) / STENCIL_DT

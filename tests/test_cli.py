@@ -216,6 +216,26 @@ class TestSolve:
         assert out == ""
         assert err.startswith("error: ") and "not finite" in err and err.count("\n") == 1
 
+    def test_numeric_roots_match_the_closed_forms_over_a_stratified_grid(self, capsys):
+        # the benchmark's grid: b and d share a sign, a in {0, +-0.25, +-0.5},
+        # one m in each twentieth of [0.10, 0.95]
+        scales = ("0.5", "0.75", "1", "1.25", "1.5", "2")
+        offsets = ("0", "0.25", "-0.25", "0.5", "-0.5")
+        for i, m in enumerate(range(10, 96, 5)):
+            sign = "-" if i % 2 else ""
+            text = [offsets[i % 5], sign + scales[i % 6], sign + scales[(i + 3) % 6], "%.2f" % (m / 100)]
+            code, out, _ = run_cli(capsys, "solve", "--numeric", "-a", text[0], "-b", text[1],
+                                   "-d", text[2], "-m", text[3])
+            assert code == 0
+            root_lines = [line for line in out.splitlines() if line.startswith("root ")]
+            closed = [np.array([f.A, f.B, f.D, f.v])
+                      for f in solve_closed_form(PdeParams(*(float(t) for t in text)))]
+            assert len(root_lines) == 4, text
+            for line in root_lines:
+                root = np.array([float(field.split("=")[1]) for field in line.split()[1:5]])
+                assert min(np.max(np.abs(root - c)) for c in closed) < 1e-9, line
+                assert line.endswith("tag=matches-closed-form")
+
     def test_numeric_roots_are_tagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "-a", "0", "-b", "1", "-d", "1", "-m", "0.5", "--numeric"
@@ -318,6 +338,13 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--timedep", *argv)
         assert "PASS velocity-constraint" in out
         assert code == 0
+
+    def test_timedep_table_ending_with_the_window_passes(self, capsys):
+        # the window [t_ref, t_ref + 4] ends on the table's last knot: the
+        # stencil at t = 5 must not reach past it
+        code, out, err = run_cli(capsys, "verify", "--timedep", "--f", "tab:1:1,5:1")
+        assert (code, err) == (0, "")
+        assert "PASS velocity-constraint" in out
 
     def test_timedep_near_zero_coefficient_ends_promptly(self, capsys):
         # f = 1 - 2t + 1.0001t^2 has its minimum 1e-4 next to t_ref = 1, where

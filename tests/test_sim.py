@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kdvmkdv import sim, waves
+from kdvmkdv import elliptic, sim, waves
 from kdvmkdv.ansatz import PdeParams
 from kdvmkdv.cli import VELOCITY_REL_TOL
 from kdvmkdv.sim import (
@@ -19,7 +19,7 @@ from kdvmkdv.sim import (
     init_from_family,
     measure_velocity,
     run,
-    spectral_residual,
+    spectral_residuals,
     track_positions,
     write_snapshots,
 )
@@ -500,12 +500,33 @@ class TestResidualAndOutput:
             b = rng.uniform(0.5, 2.0) * rng.choice([-1, 1])
             p = PdeParams(rng.uniform(-2, 2), b, b * rng.uniform(0.5, 2.0), rng.uniform(0.1, 0.95))
             fam = solve_closed_form(p)[rng.integers(0, 4)]
-            assert spectral_residual(fam, N=256) < 1e-8
+            assert spectral_residuals([fam], N=256)[0] < 1e-8
+
+    def test_one_jacobi_evaluation_serves_the_four_families(self, monkeypatch):
+        # each residual equals, bit for bit, that of the family's own profile
+        # from waves.evaluate
+        p = PdeParams(0.5, 1.0, 1.0, 0.6)
+        fams = solve_closed_form(p)
+        cfg = SimConfig(p, N=256)
+        k = sim._wavenumbers(256, cfg.length)
+        want = []
+        for fam in fams:
+            u = waves.evaluate(fam, cfg.grid(), 0.0)
+            uhat = np.fft.fft(u)
+            ux, uxxx = np.fft.ifft(1j * k * uhat).real, np.fft.ifft(-1j * k**3 * uhat).real
+            want.append(float(np.max(np.abs((-fam.v + 0.5 * u + 1.0 * u**2) * ux + 1.0 * uxxx))))
+        calls = []
+        jacobi = elliptic.jacobi
+        monkeypatch.setattr(elliptic, "jacobi", lambda *args: calls.append(args) or jacobi(*args))
+        got = spectral_residuals(fams, N=256)
+        assert len(calls) == 1
+        assert got == want
+        with pytest.raises(ValueError, match="share"):
+            spectral_residuals([fams[0], solve_closed_form(PdeParams(0.5, 1.0, 1.0, 0.7))[0]])
 
     def test_m_one_windowed_residual(self):
         # the windowed sech needs twice the modes of one elliptic period
-        fam = solve_closed_form(PdeParams(0, 1, 1, 1.0))[0]
-        assert spectral_residual(fam, N=512) < 1e-8
+        assert max(spectral_residuals(solve_closed_form(PdeParams(0, 1, 1, 1.0)), N=512)) < 1e-8
 
     def test_deterministic_run_naming_and_files(self, cnoidal, tmp_path):
         p, fam = cnoidal

@@ -1,6 +1,7 @@
 """Tests for the closed-form families, exact back-substitution, and the
 independent numeric root search."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -323,19 +324,68 @@ class TestSolveNumeric:
             for root in want:
                 assert min(np.max(np.abs(root - r)) for r in got) < 1e-12
 
-    def test_one_stacked_solve_per_step(self, system, monkeypatch):
-        calls = []
-        pinv = np.linalg.pinv
+    def test_one_stacked_normal_solve_per_step(self, system, monkeypatch):
+        steps, solves = [], []
+        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
 
-        def counted(J, *args, **kwargs):
-            calls.append(J.shape)
-            return pinv(J, *args, **kwargs)
+        def counted_eigvalsh(M, *args, **kwargs):  # one call per Newton step
+            steps.append(M.shape)
+            return eigvalsh(M, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "pinv", counted)
+        def counted_solve(M, *args, **kwargs):
+            solves.append(M.shape)
+            return solve(M, *args, **kwargs)
+
+        def no_pinv(*args, **kwargs):
+            raise AssertionError("pinv on a well-conditioned parameter set")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "pinv", no_pinv)
         monkeypatch.setattr(np.linalg, "lstsq", None)
         assert len(solve_numeric(system, PdeParams(0.5, 1.0, 1.0, 0.6), seeds=32)) == 4
-        assert 0 < len(calls) <= solver.NEWTON_MAX_STEPS
-        assert calls[0] == (32, len(system), 4)
+        assert 0 < len(solves) == len(steps) <= solver.NEWTON_MAX_STEPS
+        assert solves[0] == (32, 4, 4)
+
+    def test_ill_conditioned_starts_fall_back_to_the_pseudo_inverse(self, system, monkeypatch):
+        # with every normal matrix counted as ill-conditioned, each step is
+        # the pseudo-inverse one, and the same four roots come out
+        pinvs = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(solver, "NORMAL_MIN_RATIO", np.inf)
+        monkeypatch.setattr(np.linalg, "pinv", lambda J, *a, **k: pinvs.append(J.shape) or pinv(J, *a, **k))
+        monkeypatch.setattr(np.linalg, "solve", None)
+        p = PdeParams(0.5, 1.0, 1.0, 0.6)
+        roots = solve_numeric(system, p, seeds=32)
+        closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
+        assert len(roots) == 4 and pinvs[0] == (32, len(system), 4)
+        for root in roots:
+            assert min(np.max(np.abs(root - c)) for c in closed) < 1e-12
+
+    # roots found from 32 starts at (a, b, d) = (+-0.5, +-1, +-1), in the order
+    # of itertools.product((1, -1), repeat=3); pinned from the pseudo-inverse
+    # Newton that every step took before the normal equations.  m = 0 has a
+    # curve of roots, so every start ends on its own.
+    EDGE_ROOT_COUNTS = {
+        0.0: [32] * 8,
+        1e-9: [0] * 8,
+        1e-6: [0, 0, 0, 2, 2, 0, 0, 0],
+        0.5: [4, 0, 0, 4, 4, 0, 0, 4],
+        1 - 1e-9: [4, 0, 0, 4, 4, 0, 0, 4],
+        1.0: [4, 0, 0, 4, 4, 0, 0, 4],
+    }
+
+    @pytest.mark.parametrize("m", sorted(EDGE_ROOT_COUNTS))
+    def test_edge_grid_finds_no_fewer_roots(self, system, m):
+        signs = itertools.product((1, -1), repeat=3)
+        for (sa, sb, sd), pinned in zip(signs, self.EDGE_ROOT_COUNTS[m]):
+            p = PdeParams(0.5 * sa, 1.0 * sb, 1.0 * sd, m)
+            roots = solve_numeric(system, p, seeds=32)
+            assert len(roots) >= pinned, p
+            if m > 0 and roots:
+                closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
+                for root in roots:
+                    assert min(np.max(np.abs(root - c)) for c in closed) < 1e-9, p
 
     def test_deterministic(self, system):
         p = PdeParams(0.5, 1.0, 1.0, 0.6)

@@ -136,6 +136,18 @@ class TestVelocityAt:
         res = constraint_residual(law, np.linspace(1.0, 5.0, 50))
         assert np.max(np.abs(res)) < 1e-8
 
+    def test_stencil_stays_inside_the_times_asked_for(self):
+        # f is tabulated on exactly [1, 5]: the central stencil at t = 5 would
+        # read f at 5 + 2*STENCIL_DT; the backward one reads f on [1, 5] only
+        f = TabulatedCoefficient((1.0, 3.0, 5.0), (1.0, 1.5, 2.0))
+        law = VelocityLaw.time_dependent(self.C, f, v0=0.3, t_ref=1.0)
+        assert np.max(np.abs(constraint_residual(law, np.linspace(1.0, 5.0, 50)))) < 1e-9
+        assert abs(constraint_residual(law, 5.0)) < 1e-9
+        # where the central stencil reaches too, the backward one agrees with it
+        smooth = VelocityLaw.time_dependent(self.C, ExponentialCoefficient(1.0), v0=0.3, t_ref=1.0)
+        assert constraint_residual(smooth, 4.0) == pytest.approx(
+            constraint_residual(smooth, np.array([4.0, 5.0]))[0], abs=1e-9)
+
     def test_domain_guards(self):
         law = VelocityLaw.time_dependent(self.C, UnitCoefficient(), v0=0.1, t_ref=1.0)
         with pytest.raises(ValueError, match="t_ref"):
