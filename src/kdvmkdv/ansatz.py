@@ -88,6 +88,12 @@ class AlgebraicSystem:
         return len(self.equations)
 
     def text(self) -> str:
+        return self._text
+
+    # a system is frozen, and derive_system hands out one per process, so it
+    # is rendered once
+    @functools.cached_property
+    def _text(self) -> str:
         lines = []
         for mono, eq in zip(self.monomials, self.equations):
             lines.append("%s: %s = 0" % (mono.text(), eq.text()))

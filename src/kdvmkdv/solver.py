@@ -9,12 +9,17 @@ giving four families from the two independent sign choices.  Realness needs
 b*d > 0 and m > 0.  Back-substitution is carried out exactly in the ring
 extended by the formal square roots sqrtm = sqrt(m), sqrtq = sqrt(3d/(2b)),
 the formal inverse binv = 1/b and the formal signs sgnA, sgnB of A and B: one
-substitution of the closed forms, then one monomial-wise reduction by
-sqrtm^2 -> m, sqrtq^2 -> (3/2)*d*binv, b*binv -> 1, sgnA^2 -> 1 and
-sgnB^2 -> 1.  That one reduction serves all four families: each family's
-residuals follow by substituting its signs (and rational parameters) into
-it, so the verdict "all seven equations reduce to the zero polynomial"
-carries no floating-point tolerance.  An independent multi-start
+substitution of the closed forms, each shifted by its own offset symbol
+(A -> sgnA*sqrtm*sqrtq + A, ..., v -> (b*d*(1+m)/2 - a^2/4)*binv + v), then
+one monomial-wise reduction by sqrtm^2 -> m, sqrtq^2 -> (3/2)*d*binv,
+b*binv -> 1, sgnA^2 -> 1 and sgnB^2 -> 1, once per system and process.  No
+rule involves A, B, D or v, so putting numbers in for the offsets commutes
+with the reduction: the unperturbed residuals put in 0, a perturbation its
+rational offsets, and neither substitutes nor reduces again.  That one
+reduction serves all four families: each family's residuals follow by
+substituting its signs (and rational parameters) into it, so the verdict
+"all seven equations reduce to the zero polynomial" carries no
+floating-point tolerance.  An independent multi-start
 least-squares Newton solver, run on all starts as one batch, confirms the
 closed forms are the only real roots of the system.
 """
@@ -148,34 +153,42 @@ def back_substitute_generic(
     roots sqrtm, sqrtq and the signs sgnA, sgnB (each to the power 0 or 1).
     `specialize` turns them into the residuals of one family.  perturb adds
     exact offsets to chosen closed-form values of A, B, D, v, e.g.
-    {"v": Fraction(1, 10)}.  The unperturbed residuals of a system are
-    computed once per process and shared by every caller; a perturbed call
-    substitutes afresh.
+    {"v": Fraction(1, 10)}: they are put into the shifted residuals, with 0
+    for each name not given.  The unperturbed residuals of a system are
+    computed once per process and shared by every caller.
     """
     if not perturb:
         return _generic_residuals(system)
-    return _substitute_closed_forms(system, perturb)
+    offsets = dict.fromkeys(PERTURBABLE, 0)
+    for name, delta in perturb.items():
+        if name not in offsets:
+            raise KeyError("cannot perturb unknown symbol %r" % (name,))
+        offsets[name] = Fraction(delta)
+    return tuple(r.substitute(offsets) for r in _shifted_residuals(system))
 
 
 @functools.cache
 def _generic_residuals(system: AlgebraicSystem) -> tuple[ParamPoly, ...]:
-    return _substitute_closed_forms(system, {})
+    return tuple(r.substitute(dict.fromkeys(PERTURBABLE, 0)) for r in _shifted_residuals(system))
 
 
-def _substitute_closed_forms(system: AlgebraicSystem, perturb: dict[str, Fraction]) -> tuple[ParamPoly, ...]:
+@functools.cache
+def _shifted_residuals(system: AlgebraicSystem) -> tuple[ParamPoly, ...]:
+    """The residuals of the closed forms shifted by the offset symbols A, B, D, v.
+
+    No reduction rule involves A, B, D or v, so putting numbers in for them
+    commutes with taking the normal form: one reduction per system serves
+    every perturbation."""
     a, b, d, m, binv, sqrtm, sqrtq, sgn_a, sgn_b = map(
         ParamPoly.symbol, ("a", "b", "d", "m", BINV, SQRT_M, SQRT_Q, SGN_A, SGN_B)
     )
+    A, B, D, v = map(ParamPoly.symbol, PERTURBABLE)
     values = {
-        "A": sgn_a * sqrtm * sqrtq,
-        "B": sgn_b * sqrtq,
-        "D": Fraction(-1, 2) * a * binv,
-        "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv,
+        "A": sgn_a * sqrtm * sqrtq + A,
+        "B": sgn_b * sqrtq + B,
+        "D": Fraction(-1, 2) * a * binv + D,
+        "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv + v,
     }
-    for name, delta in perturb.items():
-        if name not in values:
-            raise KeyError("cannot perturb unknown symbol %r" % (name,))
-        values[name] = values[name] + Fraction(delta)
     return tuple(_reduce(eq.substitute(values)) for eq in system.equations)
 
 

@@ -22,10 +22,6 @@ from fractions import Fraction
 from math import gcd, inf
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
-from . import elliptic
-
 # Scalar symbols of the coefficient ring, in canonical order.  h stands for
 # 1/f(t) and w for the grouped speed term v + t*dv/dt of the time-dependent
 # equation.  The order is fixed (a monomial order is a total order on the
@@ -217,17 +213,6 @@ class ParamPoly:
 
     # -- calculus and substitution ------------------------------------------
 
-    def derivative(self, name: str) -> "ParamPoly":
-        """Formal partial derivative with respect to one symbol."""
-        res: dict[Mono, int | Fraction] = {}
-        for mono, coef in self.terms.items():
-            for i, (s, e) in enumerate(mono):
-                if s == name:
-                    rest = mono[:i] + ((s, e - 1),) + mono[i + 1 :] if e > 1 else mono[:i] + mono[i + 1 :]
-                    res[rest] = res.get(rest, 0) + coef * e
-                    break
-        return ParamPoly({m: c for m, c in res.items() if c})
-
     def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "ParamPoly":
         """Exact substitution of symbols by polynomials (or constants)."""
         polys = {s: v for s, v in mapping.items() if isinstance(v, ParamPoly)}
@@ -260,9 +245,6 @@ class ParamPoly:
                 val *= bindings[s] ** e
             total += val
         return total
-
-    def symbols(self) -> set[str]:
-        return {s for mono in self.terms for s, _ in mono}
 
     # -- canonical normalization --------------------------------------------
 
@@ -473,25 +455,6 @@ class EllipticExpr:
         """All (monomial, coefficient) pairs, graded by (sn, cn, dn) exponents."""
         return [(m, self.terms[m]) for m in sorted(self.terms)]
 
-    def eval_numeric(self, bindings: dict[str, float], xi, m: float):
-        """Evaluate at argument xi and elliptic parameter m under the bindings.
-
-        The 'm' binding, when present, must equal the evaluation parameter.
-        """
-        bound = dict(bindings)
-        if "m" in bound:
-            if abs(bound["m"] - m) > 1e-15:
-                raise ValueError(
-                    "binding m=%r disagrees with evaluation parameter m=%r" % (bound["m"], m)
-                )
-        else:
-            bound["m"] = m
-        sn, cn, dn = elliptic.jacobi(xi, m)
-        total = 0.0 * sn
-        for mono, poly in self.terms.items():
-            total = total + poly.eval(bound) * sn**mono.sn_pow * cn**mono.cn_pow * dn**mono.dn_pow
-        return total
-
     def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "EllipticExpr":
         """Exact substitution applied to every coefficient polynomial."""
         return EllipticExpr({m: p.substitute(mapping) for m, p in self.terms.items()})
@@ -508,29 +471,3 @@ class EllipticExpr:
 
     def __repr__(self):
         return "EllipticExpr(%s)" % self.text()
-
-
-def reduce(raw_terms: Iterable[tuple[int, int, int, "ParamPoly | Fraction | int"]]) -> EllipticExpr:
-    """Canonicalize a raw sum of (sn_pow, cn_pow, dn_pow, coefficient) terms
-    with arbitrary cn/dn powers."""
-    out = EllipticExpr.zero()
-    for sn_pow, cn_pow, dn_pow, coef in raw_terms:
-        poly = coef if isinstance(coef, ParamPoly) else ParamPoly.const(coef)
-        out = out + EllipticExpr(_reduce_raw(sn_pow, cn_pow, dn_pow, poly))
-    return out
-
-
-def basis_condition_number(monomials: Iterable[EllipticMonomial], m: float, n_points: int = 256) -> float:
-    """Condition number of the Gram matrix of the basis monomials sampled over
-    one period; a moderate value certifies the linear independence that the
-    coefficient-matching step relies on."""
-    monos = list(monomials)
-    if m < 1.0:
-        L = 4.0 * elliptic.complete_K(m)
-    else:
-        L = 40.0
-    xs = np.linspace(0.0, L, n_points, endpoint=False)
-    sn, cn, dn = elliptic.jacobi(xs, m)
-    M = np.column_stack([sn**mo.sn_pow * cn**mo.cn_pow * dn**mo.dn_pow for mo in monos])
-    gram = M.T @ M / n_points
-    return float(np.linalg.cond(gram))

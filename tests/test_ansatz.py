@@ -25,6 +25,8 @@ from kdvmkdv.ansatz import (
 )
 from kdvmkdv.symexpr import EllipticExpr, EllipticMonomial, ParamPoly
 
+from symexpr_oracles import eval_numeric, symbols
+
 P = ParamPoly
 a, b, d, m, A, B, D, v, h, w = (P.symbol(s) for s in "a b d m A B D v h w".split())
 
@@ -105,7 +107,7 @@ class TestResidualConstant:
                 2 * hh**3
             )
             brute = -0.7 * d1 + 1.3 * d3
-            assert res.eval_numeric(bindings, xi, mm) == pytest.approx(brute, abs=1e-4)
+            assert eval_numeric(res, bindings, xi, mm) == pytest.approx(brute, abs=1e-4)
 
 
 class TestResidualTimedep:
@@ -160,7 +162,7 @@ class TestExtractSystem:
     def test_timedep_metadata_and_symbols(self):
         system = derive_system(1, timedep=True)
         assert system.time_constant == ("A", "B", "D")
-        used = set().union(*(eq.symbols() for eq in system.equations))
+        used = set().union(*(symbols(eq) for eq in system.equations))
         assert "h" in used and "w" in used and "v" not in used
 
     @pytest.mark.parametrize("order,timedep", [(1, False), (2, False), (3, False), (1, True)])
@@ -175,23 +177,37 @@ class TestExtractSystem:
         assert time.perf_counter() - start < 1.0
 
 
+def golden_systems() -> dict[tuple[int, bool], str]:
+    """The golden text of each derived system, keyed by (order, timedep)."""
+    root = Path(__file__).parent
+    goldens = {
+        (3, False): root.parent / "perfbench" / "golden" / "derive_order3.txt",
+        (2, False): root.parent / "perfbench" / "golden" / "derive_order2.txt",
+        (1, False): root / "golden" / "derive_order1.txt",
+        (1, True): root / "golden" / "derive_order1_timedep.txt",
+    }
+    # the golden files are `derive` output, which adds a comment line
+    return {
+        key: "\n".join(l for l in golden.read_text().splitlines() if not l.startswith("#"))
+        for key, golden in goldens.items()
+    }
+
+
 class TestMemo:
     def test_each_system_is_derived_once_per_process(self):
         ansatz._derive.cache_clear()
-        root = Path(__file__).parent
-        goldens = {
-            (3, False): root.parent / "perfbench" / "golden" / "derive_order3.txt",
-            (2, False): root.parent / "perfbench" / "golden" / "derive_order2.txt",
-            (1, False): root / "golden" / "derive_order1.txt",
-            (1, True): root / "golden" / "derive_order1_timedep.txt",
-        }
+        goldens = golden_systems()
         first = {key: derive_system(*key) for key in goldens}
         for key, golden in goldens.items():
             again = derive_system(key[0], timedep=key[1])
             assert again is first[key]
-            # the golden files are `derive` output, which adds a comment line
-            lines = [l for l in golden.read_text().splitlines() if not l.startswith("#")]
-            assert again.text() == "\n".join(lines)
+            assert again.text() == golden
+
+    def test_each_system_is_rendered_once(self):
+        for key, golden in golden_systems().items():
+            text = derive_system(*key).text()
+            assert derive_system(*key).text() is text
+            assert text == golden
 
     def test_back_substitution_returns_a_tuple(self):
         system = derive_system(1)

@@ -390,6 +390,15 @@ class TestConservation:
         assert dm < 1e-9
         assert dq < 1e-8
 
+    @pytest.mark.parametrize("step", [{"adaptive": True}, {"dt": 1e-2}], ids=["controlled", "fixed-dt"])
+    def test_mass_drift_is_zero_by_construction(self, cnoidal, step):
+        # mode 0 has no linear term (lin[0] = 0) and no nonlinear term
+        # (dx[0] = 0), so E[0] = 1 carries it bit for bit through every step:
+        # the mass gate of status cannot fail
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, T=0.5, **step)
+        assert sim.simulate(cfg, fam, waves.VelocityLaw.constant(fam.v)).mass_drift == 0.0
+
     def test_fourth_order_convergence(self):
         p = PdeParams(1.0, 1.0, 1.0, 0.5)
         fam = solve_closed_form(p)[0]

@@ -17,6 +17,8 @@ from kdvmkdv.solver import (
     BINV,
     PERTURBABLE,
     SIGN_PAIRS,
+    SGN_A,
+    SGN_B,
     SQRT_M,
     SQRT_Q,
     DegenerateEquation,
@@ -28,6 +30,8 @@ from kdvmkdv.solver import (
     specialize,
 )
 from kdvmkdv.symexpr import ParamPoly
+
+from symexpr_oracles import derivative
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +86,7 @@ def newton_per_start(system, p, seeds, rng_seed=0):
     a, b, d, m = p.as_floats()
     base = {"a": a, "b": b, "d": d, "m": m}
     names = [s for s in system.unknowns if s not in base]
-    grads = [[eq.derivative(s) for s in names] for eq in system.equations]
+    grads = [[derivative(eq, s) for s in names] for eq in system.equations]
 
     def fval(x):
         return np.array([eq.eval({**base, **dict(zip(names, x))}) for eq in system.equations])
@@ -260,6 +264,39 @@ class TestBackSubstituteExact:
             for exact in (None, params):
                 want = per_sign_residuals(system, *signs, perturb, exact)
                 assert specialize(generic, *signs, exact) == want
+
+    @pytest.mark.parametrize("timedep", (False, True))
+    @pytest.mark.parametrize("offsets", [
+        {"A": 2, "B": -1, "D": 3, "v": -2},
+        {"A": Fraction(1, 2), "B": Fraction(-3, 7), "D": Fraction(5, 3), "v": Fraction(-1, 6)},
+        {"A": Fraction("1e-3"), "B": Fraction("-1e-3"), "D": Fraction("0.25"), "v": Fraction("1e-3")},
+    ], ids=["integer", "fraction", "decimal"])
+    def test_offsets_in_the_shifted_form_equal_a_direct_reduction(self, timedep, offsets):
+        """The memoized shifted residuals with numbers put in for the offsets
+        are, polynomial and text, the reduction of the equations with the
+        perturbed closed forms substituted directly."""
+        system = derive_system(1, timedep=timedep)
+        a, b, d, m, binv, sqrtm, sqrtq, sgn_a, sgn_b = map(
+            ParamPoly.symbol, ("a", "b", "d", "m", BINV, SQRT_M, SQRT_Q, SGN_A, SGN_B)
+        )
+        closed = {
+            "A": sgn_a * sqrtm * sqrtq,
+            "B": sgn_b * sqrtq,
+            "D": Fraction(-1, 2) * a * binv,
+            "v": (Fraction(1, 2) * b * d * (1 + m) - Fraction(1, 4) * a * a) * binv,
+        }
+        for k in range(len(PERTURBABLE) + 1):
+            for names in itertools.combinations(PERTURBABLE, k):
+                perturb = {name: offsets[name] for name in names}
+                values = {name: value + perturb.get(name, 0) for name, value in closed.items()}
+                want = [solver._reduce(eq.substitute(values)) for eq in system.equations]
+                got = back_substitute_generic(system, perturb)
+                assert list(got) == want
+                assert [r.text() for r in got] == [w.text() for w in want]
+
+    def test_unknown_perturbation_is_refused(self, system):
+        with pytest.raises(KeyError, match="'w'"):
+            back_substitute_generic(system, {"w": Fraction(1)})
 
     def test_numeric_fallback_for_irrational_parameters(self, system):
         p = PdeParams(a=math.sqrt(2), b=1.0, d=math.pi / 3.0, m=0.7)
