@@ -185,6 +185,8 @@ def golden_systems() -> dict[tuple[int, bool], str]:
         (2, False): root.parent / "perfbench" / "golden" / "derive_order2.txt",
         (1, False): root / "golden" / "derive_order1.txt",
         (1, True): root / "golden" / "derive_order1_timedep.txt",
+        (2, True): root / "golden" / "derive_order2_timedep.txt",
+        (3, True): root / "golden" / "derive_order3_timedep.txt",
     }
     # the golden files are `derive` output, which adds a comment line
     return {
