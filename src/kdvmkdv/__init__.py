@@ -9,13 +9,12 @@ variant of the equation through its velocity law.
 from .ansatz import AlgebraicSystem, AnsatzSpec, PdeParams, build_ansatz, derive_system
 from .elliptic import EllipticTriple, complete_K, jacobi
 from .solver import SolutionFamily, solve_closed_form, solve_numeric
-from .symexpr import EllipticExpr, EllipticMonomial, ParamPoly
-from .waves import VelocityLaw, evaluate, hyperbolic_limit, velocity_at, velocity_paper_form
+from .symexpr import EllipticMonomial, ParamPoly
+from .waves import VelocityLaw, evaluate, velocity_at, velocity_paper_form
 
 __all__ = [
     "AlgebraicSystem",
     "AnsatzSpec",
-    "EllipticExpr",
     "EllipticMonomial",
     "EllipticTriple",
     "ParamPoly",
@@ -26,7 +25,6 @@ __all__ = [
     "complete_K",
     "derive_system",
     "evaluate",
-    "hyperbolic_limit",
     "jacobi",
     "solve_closed_form",
     "solve_numeric",

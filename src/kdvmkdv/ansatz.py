@@ -4,10 +4,13 @@ Substituting u = sum_i sn^(i-1)*(A_i*cn + B_i*dn) + A_0 into the reduced ODE
 
     -v*u' + a*u*u' + b*u^2*u' + d*u''' = 0
 
-produces a canonical expression whose basis coefficients must each vanish;
-collecting them gives the overdetermined polynomial system that the closed
-forms solve.  The time-dependent variant replaces v by the grouped symbol
-w = v + t*dv/dt and multiplies the spatial part by h = 1/f(t).
+produces a polynomial in sn, cn, dn and the scalar symbols.  Everything is a
+symexpr.ParamPoly: derivatives come from symexpr.differentiate, each product
+is put in canonical form (cn and dn exponents 0 or 1) as it is formed, and
+the coefficient of each basis monomial (symexpr.basis_coefficients) must
+vanish; collecting them gives the overdetermined polynomial system that the
+closed forms solve.  The time-dependent variant replaces v by the grouped
+symbol w = v + t*dv/dt and multiplies the spatial part by h = 1/f(t).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from numbers import Real
 
-from .symexpr import EllipticExpr, EllipticMonomial, ParamPoly
+from .symexpr import BASIS_SYMBOLS, EllipticMonomial, ParamPoly, basis_coefficients, canonical, differentiate
 
 @dataclass(frozen=True)
 class PdeParams:
@@ -73,7 +76,10 @@ class AnsatzSpec:
         return self.amplitude_symbols + (self.offset_symbol,)
 
 
-@dataclass(frozen=True)
+# derive_system hands out one system per (order, timedep) and process, so a
+# system compares and hashes by identity: a memo keyed on it does not rehash
+# every equation on each lookup
+@dataclass(frozen=True, eq=False)
 class AlgebraicSystem:
     """Ordered polynomial constraints extracted from a residual expression."""
 
@@ -100,44 +106,42 @@ class AlgebraicSystem:
         return "\n".join(lines)
 
 
-def build_ansatz(spec: AnsatzSpec) -> EllipticExpr:
+def build_ansatz(spec: AnsatzSpec) -> ParamPoly:
     """Canonical expansion sum_i sn^(i-1)*(A_i*cn + B_i*dn) + A_0."""
-    amps = spec.amplitude_symbols
-    expr = EllipticExpr.scalar(ParamPoly.symbol(spec.offset_symbol))
+    sn, cn, dn = (ParamPoly.symbol(s) for s in BASIS_SYMBOLS)
+    amps = [ParamPoly.symbol(s) for s in spec.amplitude_symbols]
+    u = ParamPoly.symbol(spec.offset_symbol)
     for i in range(1, spec.order + 1):
-        a_sym, b_sym = amps[2 * (i - 1)], amps[2 * (i - 1) + 1]
-        expr = expr + EllipticExpr(
-            {
-                EllipticMonomial(i - 1, 1, 0): ParamPoly.symbol(a_sym),
-                EllipticMonomial(i - 1, 0, 1): ParamPoly.symbol(b_sym),
-            }
-        )
-    return expr
+        u = u + sn ** (i - 1) * (amps[2 * i - 2] * cn + amps[2 * i - 1] * dn)
+    return u
 
 
-def _spatial_parts(u: EllipticExpr) -> tuple[EllipticExpr, EllipticExpr]:
+def _spatial_parts(u: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     """(u', a*u*u' + b*u^2*u' + d*u''') shared by both residual forms."""
-    du = u.differentiate()
-    d3u = du.differentiate().differentiate()
+    du = differentiate(u)
+    d3u = differentiate(differentiate(du))
     a, b, d = (ParamPoly.symbol(s) for s in ("a", "b", "d"))
-    spatial = (u * du).scale(a) + (u * u * du).scale(b) + d3u.scale(d)
+    # each product is put in canonical form as it is formed, which keeps the
+    # next product small
+    u_du = canonical(u * du)
+    spatial = u_du * a + canonical(u * u_du) * b + d3u * d
     return du, spatial
 
 
-def residual_constant(u: EllipticExpr) -> EllipticExpr:
+def residual_constant(u: ParamPoly) -> ParamPoly:
     """-v*u' + a*u*u' + b*u^2*u' + d*u''' in canonical form."""
     du, spatial = _spatial_parts(u)
-    return du.scale(-ParamPoly.symbol("v")) + spatial
+    return du * -ParamPoly.symbol("v") + spatial
 
 
-def residual_timedep(u: EllipticExpr) -> EllipticExpr:
+def residual_timedep(u: ParamPoly) -> ParamPoly:
     """-w*u' + h*(a*u*u' + b*u^2*u' + d*u''') with w = v + t*dv/dt, h = 1/f(t)."""
     du, spatial = _spatial_parts(u)
-    return du.scale(-ParamPoly.symbol("w")) + spatial.scale(ParamPoly.symbol("h"))
+    return du * -ParamPoly.symbol("w") + spatial * ParamPoly.symbol("h")
 
 
 def extract_system(
-    residual: EllipticExpr,
+    residual: ParamPoly,
     unknowns: tuple[str, ...],
     assume_nonzero: tuple[str, ...],
     time_constant: tuple[str, ...],
@@ -147,7 +151,7 @@ def extract_system(
     assume_nonzero symbols, and to a positive leading coefficient."""
     monos = []
     eqs = []
-    for mono, poly in residual.coefficients():
+    for mono, poly in basis_coefficients(residual):
         norm = poly.normalized(assume_nonzero)
         if norm:
             monos.append(mono)

@@ -69,13 +69,13 @@ def _amplitude(x: np.ndarray, m: float) -> np.ndarray:
     return phi
 
 
-def sech(x, amplitude: float = 1.0):
-    """amplitude*sech(x), formed as amplitude / cosh(x), for scalar or ndarray x.
+def sech(x):
+    """sech(x), formed as 1 / cosh(x), for scalar or ndarray x.
 
     cosh overflows to inf past |x| ~ 710, where the quotient is the right
     value 0, so that overflow is not reported."""
     with np.errstate(over="ignore"):
-        return amplitude / np.cosh(x)
+        return 1.0 / np.cosh(x)
 
 
 def jacobi(xi, m: float) -> EllipticTriple:

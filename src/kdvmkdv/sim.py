@@ -34,7 +34,7 @@ import numpy as np
 from . import elliptic
 from .ansatz import PdeParams
 from .solver import SolutionFamily
-from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate, wave_position
+from .waves import Coefficient, UnitCoefficient, VelocityLaw, evaluate
 
 RK4_IMAG_STABILITY = 2.8  # imaginary-axis stability limit of classical RK4
 # Error control.  A step's estimate is the relative 2-norm of the gap between
@@ -283,6 +283,7 @@ class Run:
     """The snapshots of a run, with the step counts that produced them."""
 
     ts: np.ndarray    # snapshot times
+    taus: np.ndarray  # their pseudo-times tau = t0 + int_{t0}^t h
     uhat: np.ndarray  # full spectra, one row per snapshot: conjugate-symmetric for real u
     steps: int           # accepted steps
     rejected_steps: int  # controlled mode: trial steps whose estimate exceeded RTOL
@@ -332,7 +333,8 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
         ts = cfg.t0 + cfg.dt * marks
         hs = cfg.dt * (cfg.f.integral_h(ts[:-1], ts[1:]) / np.diff(ts))
         plans = list(zip(np.diff(marks).tolist(), hs.tolist()))
-    taus = (cfg.t0 + cfg.f.integral_h(cfg.t0, ts)).tolist()
+    tau_array = cfg.t0 + cfg.f.integral_h(cfg.t0, ts)
+    taus = tau_array.tolist()
     u0 = np.fft.ifft(uhat0).real
     if controlled:
         cfl = stability_report(cfg, u0, cfg.dt)
@@ -397,7 +399,7 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
                     )
         uhat[j, : M + 1] = vh
         uhat[j, M + 1 :] = np.conj(vh[M - 1 : 0 : -1])
-    return Run(ts, uhat, steps, rejected, dt_max)
+    return Run(ts, tau_array, uhat, steps, rejected, dt_max)
 
 
 def spectral_residuals(fams: Sequence[SolutionFamily], N: int = 256) -> list[float]:
@@ -514,13 +516,13 @@ def simulate(cfg: SimConfig, fam: SolutionFamily, law: VelocityLaw) -> Simulatio
     result = run(cfg, uhat0)
     cfl = stability_report(cfg, np.fft.ifft(uhat0).real, result.dt_max)
     dm, dq = conservation_drift(result, cfg)
-    ts, ps = result.ts, track_positions(result, cfg)
-    shift = float(np.max(np.abs(np.diff(wave_position(law, ts)))))
+    ts, taus, ps = result.ts, result.taus, track_positions(result, cfg)
+    # the wave moves at C per unit tau
+    shift = abs(law.C) * float(np.max(np.abs(np.diff(taus))))
     limit = cfg.length / (2.0 * dominant_mode(uhat0))
     if not shift < limit:
         raise PhaseAliasing("the wave moves %.4g between snapshots, at least L/(2n) = %.4g for its dominant "
                             "mode n, so its phase cannot be unwrapped; shorten T" % (shift, limit))
-    taus = cfg.t0 + cfg.f.integral_h(cfg.t0, ts)
     slope, fit_resid = measure_velocity(taus, ps)
     with np.errstate(invalid="ignore"):
         mean_h = (taus[1:] - taus[0]) / (ts[1:] - ts[0])

@@ -1,35 +1,43 @@
-"""Exact symbolic algebra over the sn/cn/dn function algebra.
+"""Exact polynomial algebra for the sn/cn/dn derivation.
 
-An expression is a finite sum  sum_k  P_k(a,b,d,m,A,B,D,v,h,w) * sn^i * cn^e1 * dn^e2
-with multivariate rational coefficients P_k held exactly: a coefficient is a
-plain int while the arithmetic stays integral, and a fractions.Fraction once a
-non-integer has entered it.
-Canonical form keeps cn and dn exponents in {0, 1} by rewriting
+One type, ParamPoly, holds every polynomial of the derivation: a multivariate
+polynomial in the scalar symbols (a, b, d, m, A, B, D, v, h, w, ...) and the
+Jacobi functions sn, cn, dn, with coefficients held exactly: a coefficient is
+a plain int while the arithmetic stays integral, and a fractions.Fraction once
+a non-integer has entered it.
+The derivation works modulo cn^2 + sn^2 = 1 and dn^2 + m*sn^2 = 1.  canonical
+keeps cn and dn exponents in {0, 1} by rewriting
 
     cn^2 -> 1 - sn^2        dn^2 -> 1 - m*sn^2
 
-so {sn^i, sn^i*cn, sn^i*dn, sn^i*cn*dn} is the working basis.  Differentiation
-follows sn' = cn*dn, cn' = -sn*dn, dn' = -m*sn*cn, the algebra induced by the
-defining equation y' = sqrt(1-y^2)*sqrt(1-m*y^2) of sn.
+so {sn^i, sn^i*cn, sn^i*dn, sn^i*cn*dn} is the working basis, and
+basis_coefficients reads off the coefficient of each basis monomial.  The two
+rules have coprime leading terms, so this normal form is unique (Cox, Little
+and O'Shea, Ideals, Varieties, and Algorithms, ch. 2).  differentiate follows
+sn' = cn*dn, cn' = -sn*dn, dn' = -m*sn*cn, the algebra induced by the defining
+equation y' = sqrt(1-y^2)*sqrt(1-m*y^2) of sn.
 
 All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterable, NamedTuple
 
-# Scalar symbols of the coefficient ring, in canonical order.  h stands for
-# 1/f(t) and w for the grouped speed term v + t*dv/dt of the time-dependent
-# equation.  The order is fixed (a monomial order is a total order on the
-# variables): CORE_SYMBOLS, then the solver's formal square roots, inverse and
-# signs, then the higher-order ansatz amplitudes A1, B1, A2, B2, ..., and the
-# higher-order offset A0 last.
+# Symbols of the polynomial ring, in canonical order.  h stands for 1/f(t) and
+# w for the grouped speed term v + t*dv/dt of the time-dependent equation.
+# The order is fixed (a monomial order is a total order on the variables):
+# CORE_SYMBOLS, then the solver's formal square roots, inverse and signs, then
+# the Jacobi functions sn, cn, dn, then the higher-order ansatz amplitudes A1,
+# B1, A2, B2, ..., and the higher-order offset A0 last.
 CORE_SYMBOLS = ("a", "b", "d", "m", "A", "B", "D", "v", "h", "w")
 FORMAL_SYMBOLS = ("sqrtm", "sqrtq", "binv", "sgnA", "sgnB")
+BASIS_SYMBOLS = ("sn", "cn", "dn")
+_FIXED_SYMBOLS = CORE_SYMBOLS + FORMAL_SYMBOLS + BASIS_SYMBOLS
 
 _AMPLITUDE = re.compile(r"([AB])([1-9][0-9]*)")
 
@@ -49,12 +57,12 @@ class _Ranks(dict):
             match = _AMPLITUDE.fullmatch(name)
             if match is None:
                 raise KeyError("unknown symbol %r" % (name,))
-            rank = len(CORE_SYMBOLS + FORMAL_SYMBOLS) + 2 * (int(match[2]) - 1) + (match[1] == "B")
+            rank = len(_FIXED_SYMBOLS) + 2 * (int(match[2]) - 1) + (match[1] == "B")
         self[name] = rank
         return rank
 
 
-_RANK = _Ranks((s, i) for i, s in enumerate(CORE_SYMBOLS + FORMAL_SYMBOLS))
+_RANK = _Ranks((s, i) for i, s in enumerate(_FIXED_SYMBOLS))
 
 
 # A monomial in the scalar symbols: tuple of (name, exponent>0) pairs sorted
@@ -93,8 +101,6 @@ def _mono_key(m: Mono) -> tuple:
 
 
 def _mono_text(m: Mono) -> str:
-    if not m:
-        return "1"
     return "*".join(s if e == 1 else "%s**%d" % (s, e) for s, e in m)
 
 
@@ -173,9 +179,6 @@ class ParamPoly:
 
     def __sub__(self, other) -> "ParamPoly":
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "ParamPoly":
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "ParamPoly":
         other = self._coerce(other)
@@ -316,158 +319,67 @@ class EllipticMonomial(NamedTuple):
     dn_pow: int
 
     def text(self) -> str:
-        if self == (0, 0, 0):
-            return "1"
-        parts = []
-        for name, e in (("sn", self.sn_pow), ("cn", self.cn_pow), ("dn", self.dn_pow)):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append("%s**%d" % (name, e))
-        return "*".join(parts)
+        return _mono_text(_mono(*zip(BASIS_SYMBOLS, self))) or "1"
 
 
-ONE_MONOMIAL = EllipticMonomial(0, 0, 0)
+_SN, _CN, _DN, _M = (ParamPoly.symbol(s) for s in BASIS_SYMBOLS + ("m",))
+# cn^2 and dn^2 in canonical form, and the derivative of each basis symbol
+_CN2 = ParamPoly.const(1) - _SN * _SN
+_DN2 = ParamPoly.const(1) - _M * _SN * _SN
+_DERIVATIVES = {"sn": _CN * _DN, "cn": -_SN * _DN, "dn": -_M * _SN * _CN}
 
 
-def _reduce_raw(sn_pow: int, cn_pow: int, dn_pow: int, coef: ParamPoly) -> dict[EllipticMonomial, ParamPoly]:
-    """Rewrite cn^2 -> 1 - sn^2 and dn^2 -> 1 - m*sn^2 until canonical."""
-    # expand (1-sn^2)^q1 * (1-m*sn^2)^q2 as a polynomial in sn^2
-    q1, r1 = divmod(cn_pow, 2)
-    q2, r2 = divmod(dn_pow, 2)
-    m_sym = ParamPoly.symbol("m")
-    poly: dict[int, ParamPoly] = {0: coef}
-    for _ in range(q1):
-        nxt: dict[int, ParamPoly] = {}
-        for j, c in poly.items():
-            nxt[j] = nxt.get(j, ParamPoly.zero()) + c
-            nxt[j + 1] = nxt.get(j + 1, ParamPoly.zero()) - c
-        poly = nxt
-    for _ in range(q2):
-        nxt = {}
-        for j, c in poly.items():
-            nxt[j] = nxt.get(j, ParamPoly.zero()) + c
-            nxt[j + 1] = nxt.get(j + 1, ParamPoly.zero()) - c * m_sym
-        poly = nxt
-    out: dict[EllipticMonomial, ParamPoly] = {}
-    for j, c in poly.items():
-        if c:
-            out[EllipticMonomial(sn_pow + 2 * j, r1, r2)] = c
-    return out
+@functools.cache
+def _squares(q1: int, q2: int) -> ParamPoly:
+    """(cn^2)^q1 * (dn^2)^q2 in canonical form."""
+    return _CN2**q1 * _DN2**q2
 
 
-class EllipticExpr:
-    """Canonical expression in the sn/cn/dn algebra with ParamPoly coefficients."""
+def canonical(p: ParamPoly) -> ParamPoly:
+    """Rewrite cn^2 -> 1 - sn^2 and dn^2 -> 1 - m*sn^2 until every cn and dn
+    exponent is 0 or 1."""
+    res: dict[Mono, int | Fraction] = {}
+    for mono, coef in p.terms.items():
+        powers = dict(mono)
+        q1, powers["cn"] = divmod(powers.get("cn", 0), 2)
+        q2, powers["dn"] = divmod(powers.get("dn", 0), 2)
+        if q1 or q2:
+            rest = _mono(*powers.items())
+            for m2, c2 in _squares(q1, q2).terms.items():
+                mono2 = _mono_mul(rest, m2)
+                res[mono2] = res.get(mono2, 0) + coef * c2
+        else:
+            res[mono] = res.get(mono, 0) + coef
+    return ParamPoly(res)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[EllipticMonomial, ParamPoly] | None = None):
-        self.terms: dict[EllipticMonomial, ParamPoly] = {}
-        if terms:
-            for mono, poly in terms.items():
-                if poly:
-                    self.terms[mono] = poly
+def _partial(p: ParamPoly, name: str) -> ParamPoly:
+    """Formal partial derivative of p with respect to one symbol."""
+    res: dict[Mono, int | Fraction] = {}
+    for mono, coef in p.terms.items():
+        for k, (s, e) in enumerate(mono):
+            if s == name:
+                res[mono[:k] + ((s, e - 1),) * (e > 1) + mono[k + 1 :]] = coef * e
+                break
+    return ParamPoly(res)
 
-    # -- constructors -------------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "EllipticExpr":
-        return cls()
+def differentiate(p: ParamPoly) -> ParamPoly:
+    """Derivative with respect to the elliptic argument, by sn' = cn*dn,
+    cn' = -sn*dn and dn' = -m*sn*cn, in canonical form."""
+    out = ParamPoly.zero()
+    for name, rule in _DERIVATIVES.items():
+        out = out + _partial(p, name) * rule
+    return canonical(out)
 
-    @classmethod
-    def scalar(cls, value) -> "EllipticExpr":
-        poly = value if isinstance(value, ParamPoly) else ParamPoly.const(value)
-        return cls({ONE_MONOMIAL: poly})
 
-    @classmethod
-    def sn(cls, power: int = 1) -> "EllipticExpr":
-        return cls({EllipticMonomial(power, 0, 0): ParamPoly.const(1)})
-
-    # -- algebra -------------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EllipticExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "EllipticExpr") -> "EllipticExpr":
-        res = dict(self.terms)
-        for mono, poly in other.terms.items():
-            s = res.get(mono, ParamPoly.zero()) + poly
-            if s:
-                res[mono] = s
-            else:
-                res.pop(mono, None)
-        return EllipticExpr(res)
-
-    def __neg__(self) -> "EllipticExpr":
-        return EllipticExpr({m: -p for m, p in self.terms.items()})
-
-    def __sub__(self, other: "EllipticExpr") -> "EllipticExpr":
-        return self + (-other)
-
-    def scale(self, factor) -> "EllipticExpr":
-        """Multiply by a scalar ParamPoly (or exact constant)."""
-        f = factor if isinstance(factor, ParamPoly) else ParamPoly.const(factor)
-        return EllipticExpr({m: p * f for m, p in self.terms.items()})
-
-    def __mul__(self, other: "EllipticExpr") -> "EllipticExpr":
-        raw: dict[tuple[int, int, int], ParamPoly] = {}
-        for m1, p1 in self.terms.items():
-            for m2, p2 in other.terms.items():
-                key = (m1.sn_pow + m2.sn_pow, m1.cn_pow + m2.cn_pow, m1.dn_pow + m2.dn_pow)
-                raw[key] = raw[key] + p1 * p2 if key in raw else p1 * p2
-        res: dict[EllipticMonomial, ParamPoly] = {}
-        for key, coef in raw.items():
-            for mono, poly in _reduce_raw(*key, coef).items():
-                res[mono] = res[mono] + poly if mono in res else poly
-        return EllipticExpr(res)
-
-    # -- spec operations -----------------------------------------------------
-
-    def differentiate(self) -> "EllipticExpr":
-        """Derivative with respect to the elliptic argument, in canonical form."""
-        m_sym = ParamPoly.symbol("m")
-        res = EllipticExpr.zero()
-        for mono, poly in self.terms.items():
-            i, e1, e2 = mono
-            pieces: dict[EllipticMonomial, ParamPoly] = {}
-            if i:
-                for mm, pp in _reduce_raw(i - 1, e1 + 1, e2 + 1, poly * i).items():
-                    pieces[mm] = pieces.get(mm, ParamPoly.zero()) + pp
-            if e1:
-                for mm, pp in _reduce_raw(i + 1, e1 - 1, e2 + 1, -poly * e1).items():
-                    pieces[mm] = pieces.get(mm, ParamPoly.zero()) + pp
-            if e2:
-                for mm, pp in _reduce_raw(i + 1, e1 + 1, e2 - 1, -(poly * e2) * m_sym).items():
-                    pieces[mm] = pieces.get(mm, ParamPoly.zero()) + pp
-            res = res + EllipticExpr(pieces)
-        return res
-
-    def coefficients(self) -> list[tuple[EllipticMonomial, ParamPoly]]:
-        """All (monomial, coefficient) pairs, graded by (sn, cn, dn) exponents."""
-        return [(m, self.terms[m]) for m in sorted(self.terms)]
-
-    def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "EllipticExpr":
-        """Exact substitution applied to every coefficient polynomial."""
-        return EllipticExpr({m: p.substitute(mapping) for m, p in self.terms.items()})
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        lines = []
-        for mono, poly in self.coefficients():
-            lines.append("(%s)*%s" % (poly.text(), mono.text()))
-        return " + ".join(lines)
-
-    __str__ = text
-
-    def __repr__(self):
-        return "EllipticExpr(%s)" % self.text()
+def basis_coefficients(p: ParamPoly) -> list[tuple[EllipticMonomial, ParamPoly]]:
+    """The terms of a canonical p grouped by their (sn, cn, dn) exponents, as
+    (EllipticMonomial, coefficient) pairs sorted by those exponents."""
+    groups: dict[EllipticMonomial, dict[Mono, int | Fraction]] = {}
+    for mono, coef in p.terms.items():
+        powers = dict(mono)
+        basis = EllipticMonomial(*(powers.get(s, 0) for s in BASIS_SYMBOLS))
+        rest = tuple(pair for pair in mono if pair[0] not in BASIS_SYMBOLS)
+        groups.setdefault(basis, {})[rest] = coef
+    return [(basis, ParamPoly(groups[basis])) for basis in sorted(groups)]

@@ -1,8 +1,9 @@
-"""Explicit wave profiles, the hyperbolic limit, and velocity laws.
+"""Explicit wave profiles and velocity laws.
 
 The constant-coefficient wave is u(x,t) = A*cn(xi,m) + B*dn(xi,m) + D with
-xi = x - v*t.  When the u_t coefficient is a time function f(t), the same
-profile travels with a time-dependent speed v(t) governed by
+xi = x - v*t.  At m = 1 it is the hyperbolic limit (A+B)*sech(xi) + D, since
+cn = dn = sech there.  When the u_t coefficient is a time function f(t), the
+same profile travels with a time-dependent speed v(t) governed by
 
     v + t*dv/dt = C*h(t),        h = 1/f,   C = (2*b*d*(1+m) - a^2)/(4*b)
 
@@ -450,24 +451,3 @@ def evaluate(fam: SolutionFamily, x, t: float, law: VelocityLaw | None = None):
     sn, cn, dn = elliptic.jacobi(xi, float(fam.params.m))
     u = fam.A * cn + fam.B * dn + fam.D
     return u if np.ndim(x) else float(u)
-
-
-@dataclass(frozen=True)
-class SechProfile:
-    """Closed-form m=1 limit: (A+B)*sech(x - v*t) + D."""
-
-    amplitude: float
-    speed: float
-    offset: float
-
-    def __call__(self, x, t: float = 0.0):
-        xi = np.asarray(x, dtype=float) - self.speed * t
-        u = elliptic.sech(xi, self.amplitude) + self.offset
-        return u if np.ndim(x) else float(u)
-
-
-def hyperbolic_limit(fam: SolutionFamily) -> SechProfile:
-    """The m=1 closed form; both cn and dn degenerate to sech."""
-    if float(fam.params.m) != 1.0:
-        raise ValueError("hyperbolic limit requires m=1, got m=%r" % (fam.params.m,))
-    return SechProfile(amplitude=fam.A + fam.B, speed=fam.v, offset=fam.D)

@@ -368,6 +368,15 @@ class TestVerify:
         assert (got, out) == (code, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec,reason", [
+        ("tab:1:1,5:-1", "tabulated f vanishes in range"),
+        ("poly:0", "f is identically zero"),
+    ])
+    def test_vanishing_coefficient_is_a_numerical_failure(self, capsys, spec, reason):
+        code, out, err = run_cli(capsys, "verify", "--timedep", "--f", spec)
+        assert (code, out) == (4, "")
+        assert err == "error: coefficient singularity: %s\n" % (reason,)
+
     def test_decreasing_table_is_refused_as_unordered(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--timedep", "--f", "tab:2:1,1:1.2")
         assert (code, out) == (2, "")

@@ -256,6 +256,27 @@ class TestErrorControl:
         assert np.max(np.abs(r.fields()[-1] - exact)) < 1e-9 * np.max(np.abs(exact))
         assert r.steps <= 1000
 
+    def test_controlled_run_recovers_from_a_rejected_step(self, cnoidal):
+        # a first trial step of 0.02 on N=64 is too large for RTOL: the run
+        # rejects it, shrinks the step, and still measures the speed
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, dt=0.02, T=1.0, adaptive=True)
+        result = sim.simulate(cfg, fam, waves.VelocityLaw.constant(fam.v))
+        assert result.run.rejected_steps > 0
+        assert result.velocity_rel_error < 1e-9
+
+    def test_fixed_step_that_does_not_divide_T_is_evened_out(self, cnoidal):
+        # dt = 3e-3 does not divide T = 1: the run takes round(T/dt) = 333
+        # equal steps of T/333 and ends on T
+        p, fam = cnoidal
+        cfg = SimConfig(p=p, N=64, dt=3e-3, T=1.0)
+        r = run(cfg, init_from_family(cfg, fam))
+        assert (r.steps, r.rejected_steps) == (333, 0)
+        assert r.ts[-1] == 1.0
+        assert r.dt_max == pytest.approx(1.0 / 333, rel=1e-15)
+        exact = waves.evaluate(fam, cfg.grid(), 1.0)
+        assert np.max(np.abs(r.fields()[-1] - exact)) < 1e-8
+
     def test_controlled_fine_grid_run_needs_no_rejection(self, cnoidal):
         # a grid finer than the wave needs does not shrink the accurate step
         p, fam = cnoidal
@@ -450,7 +471,7 @@ class TestMeasurement:
         x = cfg.grid()
         prof = lambda s: np.cos(2 * np.pi * (x - s) / L) + 0.3 * np.sin(4 * np.pi * (x - s) / L)
         ts = np.linspace(0, 1, 11)
-        r = Run(ts, np.fft.fft([prof(0.3 * t) for t in ts], axis=1), 0, 0, 0.0)
+        r = Run(ts, ts, np.fft.fft([prof(0.3 * t) for t in ts], axis=1), 0, 0, 0.0)
         v, resid = measure_velocity(ts, track_positions(r, cfg))
         assert v == pytest.approx(0.3, abs=1e-10)
         assert resid < 1e-10
@@ -471,7 +492,7 @@ class TestMeasurement:
         uhat0 = init_from_family(cfg, fam)
         ts = np.zeros(2)
         with pytest.raises(ValueError, match="3 snapshots"):
-            measure_velocity(ts, track_positions(Run(ts, np.array([uhat0, uhat0]), 0, 0, 0.0), cfg))
+            measure_velocity(ts, track_positions(Run(ts, ts, np.array([uhat0, uhat0]), 0, 0, 0.0), cfg))
 
     def test_a_law_one_percent_off_is_measured_one_percent_off(self, cnoidal):
         # the speed is fitted per unit pseudo-time, where the wave moves at C
@@ -556,7 +577,8 @@ class TestResidualAndOutput:
         # magnitudes and signs a wave never takes go through the same template
         u = np.array([-0.0, 1e-300, -1.5e17, np.pi] + [2.0 / 3.0] * (cfg.N - 4))
         uhat = np.fft.fft([waves.evaluate(fam, x, 0.0), waves.evaluate(fam, x, 0.01), u], axis=1)
-        rundir = write_snapshots(Run(np.array([0.0, 0.005, 0.01]), uhat, 10, 0, 1e-3), cfg, tmp_path)
+        ts = np.array([0.0, 0.005, 0.01])
+        rundir = write_snapshots(Run(ts, ts, uhat, 10, 0, 1e-3), cfg, tmp_path)
         # each row is rendered from its own inverse FFT, one snapshot at a time
         for i, uh in enumerate(uhat):
             lines = ["x,u"] + ["%.17g,%.17g" % (xv, uv) for xv, uv in zip(x, np.fft.ifft(uh).real)]

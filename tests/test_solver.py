@@ -29,9 +29,7 @@ from kdvmkdv.solver import (
     solve_numeric,
     specialize,
 )
-from kdvmkdv.symexpr import ParamPoly
-
-from symexpr_oracles import derivative
+from kdvmkdv.symexpr import ParamPoly, _partial
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +84,7 @@ def newton_per_start(system, p, seeds, rng_seed=0):
     a, b, d, m = p.as_floats()
     base = {"a": a, "b": b, "d": d, "m": m}
     names = [s for s in system.unknowns if s not in base]
-    grads = [[derivative(eq, s) for s in names] for eq in system.equations]
+    grads = [[_partial(eq, s) for s in names] for eq in system.equations]
 
     def fval(x):
         return np.array([eq.eval({**base, **dict(zip(names, x))}) for eq in system.equations])

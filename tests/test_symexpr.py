@@ -1,4 +1,4 @@
-"""Tests for the exact sn/cn/dn expression algebra."""
+"""Tests for the exact polynomial algebra of the sn/cn/dn derivation."""
 
 from fractions import Fraction
 
@@ -9,24 +9,35 @@ from hypothesis import strategies as st
 
 from kdvmkdv import elliptic
 from kdvmkdv.symexpr import (
+    BASIS_SYMBOLS,
     CORE_SYMBOLS,
     FORMAL_SYMBOLS,
-    EllipticExpr,
     EllipticMonomial,
     ParamPoly,
     UnboundSymbolError,
     _mono,
     _mono_key,
     _RANK,
+    _partial,
+    basis_coefficients,
+    canonical,
+    differentiate,
 )
 
-from symexpr_oracles import basis_condition_number, derivative, eval_numeric, reduce
+from symexpr_oracles import basis_condition_number, eval_numeric, reduce
 
 P = ParamPoly
 
 
 def sym(name: str) -> ParamPoly:
     return P.symbol(name)
+
+
+def basis(sn_pow: int, cn_pow: int, dn_pow: int) -> ParamPoly:
+    return P.monomial(1, sn=sn_pow, cn=cn_pow, dn=dn_pow)
+
+
+SN, CN, DN = (sym(s) for s in BASIS_SYMBOLS)
 
 
 # -- strategies ---------------------------------------------------------------
@@ -67,18 +78,19 @@ def as_fractions(p: ParamPoly) -> ParamPoly:
 
 @st.composite
 def elliptic_exprs(draw):
-    expr = EllipticExpr.zero()
+    """Canonical polynomials: cn and dn exponents 0 or 1."""
+    expr = P.zero()
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
-        mono = EllipticMonomial(
+        mono = basis(
             draw(st.integers(min_value=0, max_value=2)),
             draw(st.integers(min_value=0, max_value=1)),
             draw(st.integers(min_value=0, max_value=1)),
         )
-        expr = expr + EllipticExpr({mono: draw(param_polys())})
+        expr = expr + mono * draw(param_polys())
     return expr
 
 
-# -- reduce --------------------------------------------------------------------
+# -- canonical form ------------------------------------------------------------
 
 
 class TestReduce:
@@ -86,27 +98,24 @@ class TestReduce:
         assert reduce([(0, 2, 0, 1)]) == reduce([(0, 0, 0, 1), (2, 0, 0, -1)])
 
     def test_dn_squared(self):
-        expected = EllipticExpr(
-            {EllipticMonomial(0, 0, 0): P.const(1), EllipticMonomial(2, 0, 0): -sym("m")}
-        )
-        assert reduce([(0, 0, 2, 1)]) == expected
+        assert reduce([(0, 0, 2, 1)]) == P.const(1) - sym("m") * SN**2
 
     def test_cn2_dn2_product(self):
         # 1 - (1+m)*sn^2 + m*sn^4, cross-checked numerically at random points
         got = reduce([(0, 2, 2, 1)])
-        expected = EllipticExpr(
-            {
-                EllipticMonomial(0, 0, 0): P.const(1),
-                EllipticMonomial(2, 0, 0): -(P.const(1) + sym("m")),
-                EllipticMonomial(4, 0, 0): sym("m"),
-            }
-        )
-        assert got == expected
+        assert got == P.const(1) - (P.const(1) + sym("m")) * SN**2 + sym("m") * SN**4
         rng = np.random.default_rng(7)
         for _ in range(20):
             xi, m = rng.uniform(-5, 5), rng.uniform(0, 0.95)
             _, cn, dn = elliptic.jacobi(xi, m)
             assert eval_numeric(got, {}, xi, m) == pytest.approx(cn**2 * dn**2, abs=1e-12)
+
+    def test_canonical_terms_are_kept(self):
+        p = sym("A") * SN**3 * CN * DN + sym("v") * DN
+        assert canonical(p) == p
+
+    def test_symbols_outside_the_basis_ride_along(self):
+        assert canonical(sym("A") * CN**3) == sym("A") * CN - sym("A") * SN**2 * CN
 
     def test_raw_vs_reduced_numeric_agreement(self):
         rng = np.random.default_rng(11)
@@ -127,16 +136,18 @@ class TestReduce:
 
 class TestDifferentiate:
     def test_sn_prime_is_cn_dn(self):
-        assert EllipticExpr.sn().differentiate() == EllipticExpr(
-            {EllipticMonomial(0, 1, 1): P.const(1)}
-        )
+        assert differentiate(SN) == CN * DN
+
+    def test_cn_and_dn_primes(self):
+        assert differentiate(CN) == -SN * DN
+        assert differentiate(DN) == -sym("m") * SN * CN
 
     def test_constant_coefficient_derivative_vanishes(self):
-        assert EllipticExpr.scalar(sym("D")).differentiate().is_zero
+        assert differentiate(sym("D")).is_zero
 
     def test_sn_squared_chain_rule(self):
-        got = (EllipticExpr.sn() * EllipticExpr.sn()).differentiate()
-        assert got == EllipticExpr({EllipticMonomial(1, 1, 1): P.const(2)})
+        got = differentiate(SN * SN)
+        assert got == 2 * SN * CN * DN
         # finite-difference cross-check through the elliptic module
         h = 1e-5
         for xi, m in ((0.8, 0.4), (-2.2, 0.9)):
@@ -146,7 +157,7 @@ class TestDifferentiate:
     @settings(max_examples=60, deadline=None)
     @given(x=elliptic_exprs(), y=elliptic_exprs())
     def test_product_rule_structural(self, x, y):
-        assert (x * y).differentiate() == x.differentiate() * y + x * y.differentiate()
+        assert differentiate(canonical(x * y)) == canonical(differentiate(x) * y + x * differentiate(y))
 
     @settings(max_examples=40, deadline=None)
     @given(e=elliptic_exprs())
@@ -155,7 +166,7 @@ class TestDifferentiate:
         xi, m = 0.9, 0.6
         bindings = {"a": 1.1, "b": -0.7, "m": m, "A": 0.4, "v": 2.0}
         fd = (eval_numeric(e, bindings, xi + h, m) - eval_numeric(e, bindings, xi - h, m)) / (2 * h)
-        assert eval_numeric(e.differentiate(), bindings, xi, m) == pytest.approx(fd, abs=1e-7)
+        assert eval_numeric(differentiate(e), bindings, xi, m) == pytest.approx(fd, abs=1e-7)
 
 
 # -- coefficients -----------------------------------------------------------------
@@ -163,17 +174,10 @@ class TestDifferentiate:
 
 class TestCoefficients:
     def test_zero_expression(self):
-        assert EllipticExpr.zero().coefficients() == []
+        assert basis_coefficients(P.zero()) == []
 
     def test_first_order_ansatz(self):
-        expr = EllipticExpr(
-            {
-                EllipticMonomial(0, 0, 0): sym("D"),
-                EllipticMonomial(0, 1, 0): sym("A"),
-                EllipticMonomial(0, 0, 1): sym("B"),
-            }
-        )
-        got = expr.coefficients()
+        got = basis_coefficients(sym("D") + sym("A") * CN + sym("B") * DN)
         assert [(m.text(), p.text()) for m, p in got] == [
             ("1", "D"),
             ("dn", "B"),
@@ -183,14 +187,18 @@ class TestCoefficients:
     @settings(max_examples=50, deadline=None)
     @given(e=elliptic_exprs())
     def test_bijection(self, e):
-        assert EllipticExpr(dict(e.coefficients())) == e
+        rebuilt = P.zero()
+        for mono, coef in basis_coefficients(e):
+            rebuilt = rebuilt + basis(*mono) * coef
+        assert rebuilt == e
 
     def test_deterministic_graded_order(self):
-        expr = EllipticExpr(
-            {EllipticMonomial(*t): P.const(1) for t in [(3, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1)]}
-        )
-        order = [m for m, _ in expr.coefficients()]
+        expr = P.zero()
+        for t in [(3, 1, 0), (1, 0, 0), (1, 1, 1), (0, 0, 1)]:
+            expr = expr + basis(*t)
+        order = [m for m, _ in basis_coefficients(expr)]
         assert order == sorted(order)
+        assert all(type(m) is EllipticMonomial for m in order)
 
 
 # -- eval ----------------------------------------------------------------------
@@ -198,7 +206,7 @@ class TestCoefficients:
 
 class TestEvalNumeric:
     def test_sn_at_origin(self):
-        assert eval_numeric(EllipticExpr.sn(), {}, 0.0, 0.5) == 0.0
+        assert eval_numeric(SN, {}, 0.0, 0.5) == 0.0
 
     def test_identity_sum(self):
         e = reduce([(0, 2, 0, 1), (2, 0, 0, 1)])  # cn^2 + sn^2
@@ -209,12 +217,12 @@ class TestEvalNumeric:
             )
 
     def test_unbound_symbol_is_named(self):
-        e = EllipticExpr.scalar(sym("v") * sym("b"))
+        e = sym("v") * sym("b")
         with pytest.raises(UnboundSymbolError, match="'v'|'b'"):
             eval_numeric(e, {"v": 1.0}, 0.3, 0.5)
 
     def test_m_binding_must_match(self):
-        e = EllipticExpr.scalar(sym("m"))
+        e = sym("m")
         with pytest.raises(ValueError, match="disagrees"):
             eval_numeric(e, {"m": 0.25}, 0.3, 0.5)
 
@@ -226,9 +234,9 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     @given(x=elliptic_exprs(), y=elliptic_exprs(), z=elliptic_exprs())
     def test_structural_axioms(self, x, y, z):
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x * y == y * x
+        assert canonical(canonical(x * y) * z) == canonical(x * canonical(y * z))
+        assert canonical(x * (y + z)) == canonical(x * y) + canonical(x * z)
+        assert canonical(x * y) == canonical(y * x)
         assert x + y == y + x
 
     @settings(max_examples=40, deadline=None)
@@ -308,8 +316,9 @@ class TestNormalization:
 
     def test_derivative(self):
         p = sym("v") ** 3 * sym("b") + sym("a")
-        assert derivative(p, "v") == 3 * sym("v") ** 2 * sym("b")
-        assert derivative(p, "d").is_zero
+        assert _partial(p, "v") == 3 * sym("v") ** 2 * sym("b")
+        assert _partial(p, "b") == sym("v") ** 3
+        assert _partial(p, "d").is_zero
 
 
 class TestBasisIndependence:
@@ -327,7 +336,7 @@ class TestBasisIndependence:
 
 # -- symbol order ----------------------------------------------------------------
 
-ORDERED_SYMBOLS = CORE_SYMBOLS + FORMAL_SYMBOLS + ("A1", "B1", "A2", "B2", "A3", "B3", "A11", "B11", "A12", "A0")
+ORDERED_SYMBOLS = CORE_SYMBOLS + FORMAL_SYMBOLS + BASIS_SYMBOLS + ("A1", "B1", "A2", "B2", "A3", "B3", "A11", "B11", "A12", "A0")
 
 
 class TestSymbolOrder:

@@ -1,4 +1,4 @@
-"""Tests for explicit profiles, the hyperbolic limit, and the velocity laws.
+"""Tests for explicit profiles, their hyperbolic limit, and the velocity laws.
 
 Analytic quadrature oracles: with h = 1/f the constraint d(t*v)/dt = C*h(t)
 integrates to v(t) = (t_ref*v0 + C*Int_{t_ref}^t h)/t, which has closed forms
@@ -26,7 +26,6 @@ from kdvmkdv.waves import (
     VelocityLaw,
     constraint_residual,
     evaluate,
-    hyperbolic_limit,
     parse_coefficient,
     velocity_at,
     velocity_paper_form,
@@ -71,26 +70,29 @@ class TestEvaluate:
 
 
 class TestHyperbolicLimit:
-    def test_sech_descriptor(self, sech_family):
-        prof = hyperbolic_limit(sech_family)
-        assert prof.amplitude == pytest.approx(math.sqrt(6.0), rel=1e-15)
-        assert prof.speed == 1.0
+    """At m = 1, jacobi returns cn = dn = sech, so evaluate is the closed form
+    (A+B)*sech(x - v*t) + D."""
+
+    def test_sech_values(self, sech_family):
+        assert sech_family.v == 1.0
         xs = np.linspace(-10, 10, 401)
         for t in (0.0, 0.5, 2.0):
-            assert np.max(np.abs(prof(xs, t) - evaluate(sech_family, xs, t))) < 1e-12
+            exact = math.sqrt(6.0) / np.cosh(xs - t)
+            assert np.max(np.abs(evaluate(sech_family, xs, t) - exact)) < 1e-12
 
     def test_stationary_wave_with_offset(self):
         # a=2, b=d=1, m=1: v = (2*1*1*2 - 4)/4 = 0, so sqrt(6)*sech(x) - 1
         fam = solve_closed_form(PdeParams(2, 1, 1, 1))[0]
-        prof = hyperbolic_limit(fam)
-        assert prof.speed == 0.0
-        assert prof.offset == -1.0
-        assert prof.amplitude == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        assert fam.v == 0.0
+        assert fam.D == -1.0
+        assert fam.A + fam.B == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        xs = np.linspace(-10, 10, 401)
+        for t in (0.0, 3.0):
+            assert np.max(np.abs(evaluate(fam, xs, t) - (math.sqrt(6.0) / np.cosh(xs) - 1.0))) < 1e-12
 
     def test_opposite_signs_collapse_to_offset(self):
         fam = solve_closed_form(PdeParams(2, 1, 1, 1))[1]  # signs (+, -)
-        prof = hyperbolic_limit(fam)
-        assert prof.amplitude == pytest.approx(0.0, abs=1e-15)
+        assert fam.A + fam.B == pytest.approx(0.0, abs=1e-15)
         xs = np.linspace(-5, 5, 101)
         assert np.max(np.abs(evaluate(fam, xs, 0.4) - fam.D)) < 1e-15
 
@@ -102,11 +104,7 @@ class TestHyperbolicLimit:
             assert elliptic.jacobi(800.0, 1.0) == (1.0, 0.0, 0.0)
             assert elliptic.jacobi(-900.0, 1.0) == (-1.0, 0.0, 0.0)
             assert np.array_equal(evaluate(sech_family, xs, 0.0), [0.0, 0.0])
-            assert np.array_equal(hyperbolic_limit(sech_family)(xs), [0.0, 0.0])
-
-    def test_requires_m_equal_one(self, cnoidal_family):
-        with pytest.raises(ValueError, match="m=1"):
-            hyperbolic_limit(cnoidal_family)
+            assert evaluate(sech_family, 800.0, 0.0) == 0.0
 
 
 class TestVelocityAt:
@@ -205,6 +203,13 @@ class TestVelocityPaperForm:
 
 
 class TestCoefficientDescriptors:
+    def test_zero_rate_exponential_takes_the_closed_form(self):
+        # exp:0 is f = 1: int h over [t0, t1] is t1 - t0, not the rate-0 quotient 0/0
+        f = parse_coefficient("exp:0")
+        assert f.integral_h(0.5, 2.0) == 1.5
+        ts = np.array([1.0, 1.7, 5.0])
+        assert np.array_equal(f.integral_h(1.0, ts), ts - 1.0)
+
     def test_parse_round_trip(self):
         assert parse_coefficient("unit") == UnitCoefficient()
         assert parse_coefficient("exp:1.5") == ExponentialCoefficient(1.5)
