@@ -253,6 +253,18 @@ class TestVerify:
         assert "FAIL" not in out
         assert "PASS symbolic" in out and "PASS exact" in out and "PASS pde-residual" in out
 
+    @pytest.mark.parametrize("golden,argv", [
+        ("verify_defaults.txt", []),
+        ("verify_defaults_perturb_v.txt", ["--perturb", "v=+0.1"]),
+        ("verify_negative.txt", ["-a=0.25", "-b=-1", "-d=-1.25", "-m=0.1"]),
+        ("verify_negative_perturb_v.txt", ["-a=0.25", "-b=-1", "-d=-1.25", "-m=0.1", "--perturb", "v=+0.1"]),
+    ])
+    def test_output_matches_golden(self, capsys, golden, argv):
+        # byte for byte, the 17-digit pde-residual lines included
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == (1 if "--perturb" in argv else 0)
+        assert out == (GOLDEN / golden).read_text()
+
     def test_perturbed_velocity_fails_naming_equations(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--perturb", "v=+0.1")
         assert code == 1
