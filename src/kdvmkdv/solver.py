@@ -20,12 +20,15 @@ reduction serves all four families: each family's residuals follow by
 substituting its signs (and rational parameters) into it, so the verdict
 "all seven equations reduce to the zero polynomial" carries no
 floating-point tolerance.  An independent multi-start
-least-squares Newton solver, run on all starts as one batch, confirms the
-closed forms are the only real roots of the system.
+least-squares Newton solver, run on all starts as one batch, finds the closed
+forms again from random starts.  That is evidence that they are the only real
+roots of the system, not a proof: a search from finitely many starts can miss
+a root.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from collections.abc import Sequence
@@ -42,6 +45,7 @@ from .symexpr import FORMAL_SYMBOLS, ParamPoly, UnboundSymbolError
 SQRT_M, SQRT_Q, BINV, SGN_A, SGN_B = FORMAL_SYMBOLS
 
 SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+PARAMETERS = ("a", "b", "d", "m")  # the symbols solve_numeric binds to numbers
 PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_generic can offset
 
 NEWTON_MAX_STEPS = 200
@@ -217,34 +221,73 @@ def specialize(
 # ---------------------------------------------------------------------------
 
 
-def _bind(
-    system: AlgebraicSystem, base: dict[str, float], names: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The equations with the numbers in base bound, as F(x) = C @ x**E.
+@functools.cache
+def _structure(
+    system: AlgebraicSystem,
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The walk over the terms of system that binding the parameters needs.
 
-    Row j of the exponent matrix E holds the powers of the unknowns `names` in
-    the j-th monomial of the unknowns that the system uses, and C[i, j] its
-    float coefficient in equation i."""
+    names are the unknowns, and row j of the exponent matrix E holds their
+    powers in the j-th monomial of the unknowns that the system uses.  Term k
+    of the equations adds coef[k] times the product of the parameters (a, b,
+    d, m) to the powers P[k] to the entry flat[k] of the coefficient matrix
+    of the given shape."""
+    names = tuple(s for s in system.unknowns if s not in PARAMETERS)
     columns: dict[tuple[int, ...], int] = {}
-    entries = []
+    terms = []
     for i, eq in enumerate(system.equations):
         for mono, coef in eq.terms.items():
-            value = float(coef)
-            powers = dict.fromkeys(names, 0)
+            powers = dict.fromkeys((*PARAMETERS, *names), 0)
             for s, e in mono:
-                if s in base:
-                    value *= base[s] ** e
-                elif s in powers:
-                    powers[s] = e
-                else:
+                if s not in powers:
                     raise UnboundSymbolError("symbol %r is unbound" % (s,))
-            j = columns.setdefault(tuple(powers.values()), len(columns))
-            entries.append((i, j, value))
-    C = np.zeros((len(system.equations), len(columns)))
-    for i, j, value in entries:
-        C[i, j] += value
+                powers[s] = e
+            exponents = tuple(powers.values())
+            j = columns.setdefault(exponents[len(PARAMETERS) :], len(columns))
+            terms.append((i, j, float(coef), exponents[: len(PARAMETERS)]))
+    shape = (len(system.equations), len(columns))
     E = np.array(list(columns), dtype=int).reshape(len(columns), len(names))
-    return C, E
+    flat = np.array([i * shape[1] + j for i, j, _, _ in terms], dtype=int)
+    coef = np.array([c for _, _, c, _ in terms])
+    P = np.array([powers for _, _, _, powers in terms], dtype=int).reshape(len(terms), len(PARAMETERS))
+    return names, E, flat, coef, P, shape
+
+
+def _bind(system: AlgebraicSystem, p: PdeParams) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The unknowns, and the equations with a, b, d, m bound, as F(x) = C @ x**E.
+
+    C[i, j] is the float coefficient in equation i of the j-th monomial of
+    the unknowns (see _structure)."""
+    names, E, flat, coef, P, shape = _structure(system)
+    value = coef
+    for k, number in enumerate(p.as_floats()):
+        value = value * number ** P[:, k]
+    C = np.bincount(flat, weights=value, minlength=shape[0] * shape[1]).reshape(shape)
+    return names, C, E
+
+
+def _normal_inverse(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The inverses of the stacked normal matrices N, and which of them are
+    well conditioned.
+
+    N counts as well conditioned when |N|_1 * |N^-1|_1 * NORMAL_MIN_RATIO < 1,
+    |X|_1 being the sum of the absolute values of the entries.  For a
+    symmetric positive definite N, lambda_max <= tr(N) <= |N|_1 and
+    1/lambda_min <= tr(N^-1) <= |N^-1|_1, so every matrix this test accepts
+    has an eigenvalue ratio above NORMAL_MIN_RATIO.  Unlike the traces, the
+    sums cancel nothing when a nearly singular N rounds to an indefinite
+    matrix, whose computed inverse can have a small or negative trace.  An
+    exactly singular matrix of the stack gets a NaN inverse, which fails the
+    test."""
+    try:
+        inv = np.linalg.inv(N)
+    except np.linalg.LinAlgError:  # the stacked call fails for all if one is singular
+        inv = np.full_like(N, np.nan)
+        for k, matrix in enumerate(N):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[k] = np.linalg.inv(matrix)
+    size = np.abs(N).sum(axis=(1, 2)) * np.abs(inv).sum(axis=(1, 2))
+    return inv, size * NORMAL_MIN_RATIO < 1.0
 
 
 def solve_numeric(
@@ -256,26 +299,38 @@ def solve_numeric(
 
     Equations are pre-bound with the numeric a, b, d, m into one float
     coefficient matrix over the monomials of the unknowns (the system's
-    unknown symbols: A, B, D, v for the first-order ansatz).  The starts,
-    drawn from a generator seeded with 0, run as one batch.  Each step
-    evaluates F and J for every active start from one table of powers and
-    takes the Gauss-Newton step from one stacked solve of the normal
-    equations; a start whose normal matrix is ill-conditioned (smallest over
-    largest eigenvalue below NORMAL_MIN_RATIO) takes the pseudo-inverse step
-    instead.  The line search tries the damping 1, 1/2, ... 2**-19 of every
-    start at once and takes the first that lowers its residual norm.  Roots
-    with residual norm below 1e-10 are kept, less those within 1e-8 of an
-    earlier one, and returned sorted lexicographically on their values
-    rounded to 1e-9, far above the noise of the last bits, so that roots
-    with the same A sort by B.
+    unknown symbols: A, B, D, v for the first-order ansatz).  The two roots
+    A = +-sqrt(3dm/2b) close onto a double root as m -> 0, so for m != 0 the
+    search runs on A in units of sqrt|dm/b|, and each equation whose
+    coefficients are then all below 1 in magnitude is divided by its largest
+    one; m = 0, b = 0 and d = 0 keep the unscaled equations.
+    The starts, drawn from a generator seeded with 0, run as one batch.  Each
+    step evaluates F and J for every active start from one table of powers
+    and takes the Gauss-Newton step with the stacked inverses of the normal
+    matrices J^T J; a start whose normal matrix is ill-conditioned
+    (_normal_inverse) takes the pseudo-inverse step instead.  The line search
+    tries the full step of every start, then the damping 1/2, ... 2**-19 of
+    the starts whose full step did not lower their residual norm, and takes
+    the first damping that does.  Roots with residual norm below 1e-10 are
+    kept, less those within 1e-8 of an earlier one, and returned sorted
+    lexicographically on their values rounded to 1e-9, far above the noise of
+    the last bits, so that roots with the same A sort by B; the residual
+    norm, distance and rounding are taken in the scaled units.
     """
     if seeds < 16:
         raise ValueError("seeds must be >= 16 for meaningful coverage")
     a, b, d, m = p.as_floats()
-    base = {"a": a, "b": b, "d": d, "m": m}
-    names = [s for s in system.unknowns if s not in base]
-    C, E = _bind(system, base, names)
+    names, C, E = _bind(system, p)
     n = len(names)
+    unit = np.ones(n)
+    amplitude = math.sqrt(abs(d * m / b)) if b else 0.0
+    if "A" in names and 0.0 < amplitude < math.inf:
+        unit[names.index("A")] = amplitude
+        C = C * np.prod(unit**E, axis=1)
+        # no equation is scaled down, so the residual tests are no weaker than
+        # on the equations as derived; one that underflows to 0 stays 0
+        largest = np.max(np.abs(C), axis=1, keepdims=True)
+        C = C / np.where(largest > 0.0, np.minimum(largest, 1.0), 1.0)
     # dF/dx_k = (C * E[:, k]) @ x**(E - e_k): one lowered exponent matrix per unknown
     dC = C[None, :, :] * E.T[:, None, :]
     dE = np.maximum(E[None, :, :] - np.eye(n, dtype=int)[:, None, :], 0)
@@ -296,7 +351,7 @@ def solve_numeric(
     def jval(x: np.ndarray) -> np.ndarray:
         return np.einsum("kij,skj->sik", dC, monomials(x, dE))
 
-    damping = 0.5 ** np.arange(NEWTON_HALVINGS)
+    halvings = 0.5 ** np.arange(1, NEWTON_HALVINGS)
     scale = max(1.0, math.sqrt(abs(1.5 * d / b)) if b else 1.0, abs(a / (2 * b)) if b else 1.0)
     rng = np.random.default_rng(0)
     x = rng.uniform(-3.0 * scale, 3.0 * scale, size=(seeds, n))
@@ -308,24 +363,27 @@ def solve_numeric(
         if not active.size:
             break
         J, f = jval(x[active]), fx[active]
-        JtJ = np.einsum("sik,sil->skl", J, J)
-        Jtf = np.einsum("sik,si->sk", J, f)
-        eig = np.linalg.eigvalsh(JtJ)  # ascending
-        well = eig[:, 0] > NORMAL_MIN_RATIO * eig[:, -1]
-        step = np.empty_like(Jtf)
+        inv, well = _normal_inverse(np.einsum("sik,sil->skl", J, J))
+        step = np.empty((active.size, n))
         if well.any():
-            step[well] = np.linalg.solve(JtJ[well], Jtf[well, :, None])[..., 0]
+            step[well] = np.einsum("skl,sil,si->sk", inv[well], J[well], f[well])
         if not well.all():
             step[~well] = np.einsum("sij,sj->si", np.linalg.pinv(J[~well]), f[~well])
-        x_try = x[active, None, :] - damping[None, :, None] * step[:, None, :]
-        f_try = fval(x_try)
-        lower = np.linalg.norm(f_try, axis=2) < norm[:, None]
-        moved = lower.any(axis=1)  # a start whose every damping failed stops
-        first = lower.argmax(axis=1)[moved]
+        x_new = x[active] - step
+        f_new = fval(x_new)
+        moved = np.linalg.norm(f_new, axis=1) < norm
+        back = np.flatnonzero(~moved)
+        if back.size:  # the starts whose full step failed try its halvings
+            x_try = x[active[back], None, :] - halvings[None, :, None] * step[back, None, :]
+            f_try = fval(x_try)
+            lower = np.linalg.norm(f_try, axis=2) < norm[back, None]
+            first = lower.argmax(axis=1)
+            x_new[back], f_new[back] = x_try[np.arange(back.size), first], f_try[np.arange(back.size), first]
+            moved[back] = lower.any(axis=1)  # a start whose every damping failed stops
         active = active[moved]
-        x[active], fx[active] = x_try[moved, first], f_try[moved, first]
+        x[active], fx[active] = x_new[moved], f_new[moved]
     found = x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]
     near = np.linalg.norm(found[:, None, :] - found[None, :, :], axis=2) < ROOT_DEDUP_TOL
     roots = list(found[~np.tril(near, -1).any(axis=1)])
     roots.sort(key=lambda r: tuple(np.round(r, 9)))
-    return roots
+    return [r * unit for r in roots]

@@ -218,6 +218,8 @@ class ParamPoly:
 
     def substitute(self, mapping: dict[str, "ParamPoly | Fraction | int"]) -> "ParamPoly":
         """Exact substitution of symbols by polynomials (or constants)."""
+        if not self.terms:
+            return self
         polys = {s: v for s, v in mapping.items() if isinstance(v, ParamPoly)}
         numbers = {s: _exact(v) for s, v in mapping.items() if s not in polys}
         res: dict[Mono, int | Fraction] = {}

@@ -236,6 +236,16 @@ class TestSolve:
                 assert min(np.max(np.abs(root - c)) for c in closed) < 1e-9, line
                 assert line.endswith("tag=matches-closed-form")
 
+    def test_numeric_roots_at_a_tiny_m_are_the_four_families(self, capsys):
+        # +-A = +-sqrt(3dm/2b) are 1e-150 apart here: the search runs on A in
+        # units of sqrt|dm/b| and finds both, where unscaled it claimed 32
+        # roots outside the paper classes
+        code, out, _ = run_cli(capsys, "solve", "-m", "1e-300", "--numeric")
+        assert code == 0
+        root_lines = [l for l in out.splitlines() if l.startswith("root ")]
+        assert len(root_lines) == 4
+        assert all(l.endswith("tag=matches-closed-form") for l in root_lines)
+
     def test_numeric_roots_are_tagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "-a", "0", "-b", "1", "-d", "1", "-m", "0.5", "--numeric"

@@ -360,27 +360,72 @@ class TestSolveNumeric:
                 assert min(np.max(np.abs(root - r)) for r in got) < 1e-12
 
     def test_one_stacked_normal_solve_per_step(self, system, monkeypatch):
-        steps, solves = [], []
-        eigvalsh, solve = np.linalg.eigvalsh, np.linalg.solve
+        # each step inverts the normal matrices of all active starts in one
+        # stacked call and tests their conditioning from those inverses
+        inverses = []
+        inv = np.linalg.inv
 
-        def counted_eigvalsh(M, *args, **kwargs):  # one call per Newton step
-            steps.append(M.shape)
-            return eigvalsh(M, *args, **kwargs)
-
-        def counted_solve(M, *args, **kwargs):
-            solves.append(M.shape)
-            return solve(M, *args, **kwargs)
+        def counted_inv(M, *args, **kwargs):
+            inverses.append(M.shape)
+            return inv(M, *args, **kwargs)
 
         def no_pinv(*args, **kwargs):
             raise AssertionError("pinv on a well-conditioned parameter set")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
-        monkeypatch.setattr(np.linalg, "solve", counted_solve)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "pinv", no_pinv)
-        monkeypatch.setattr(np.linalg, "lstsq", None)
+        for unused in ("eigvalsh", "solve", "lstsq"):
+            monkeypatch.setattr(np.linalg, unused, None)
         assert len(solve_numeric(system, PdeParams(0.5, 1.0, 1.0, 0.6), seeds=32)) == 4
-        assert 0 < len(solves) == len(steps) <= solver.NEWTON_MAX_STEPS
-        assert solves[0] == (32, 4, 4)
+        assert 0 < len(inverses) <= solver.NEWTON_MAX_STEPS
+        assert inverses[0] == (32, 4, 4)
+        # one call per step: the batch only shrinks as starts converge or stop
+        sizes = [shape[0] for shape in inverses]
+        assert sizes == sorted(sizes, reverse=True) and all(shape[1:] == (4, 4) for shape in inverses)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        largest=st.floats(-6, 6),
+        gap=st.floats(10, 30),
+        middle=st.lists(st.floats(0, 1), min_size=2, max_size=2),
+    )
+    def test_conditioning_test_refuses_every_small_eigenvalue_ratio(self, seed, largest, gap, middle):
+        """A symmetric positive definite N whose smallest over largest
+        eigenvalue is at most NORMAL_MIN_RATIO never counts as well
+        conditioned, however its rounding perturbs the computed inverse."""
+        rng = np.random.default_rng(seed)
+        Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        exponents = largest - gap * np.array([0.0, *middle, 1.0])
+        N = (Q * 10.0**exponents) @ Q.T
+        _, well = solver._normal_inverse(np.stack([N, np.eye(4)]))
+        assert list(well) == [False, True]
+
+    def test_a_singular_normal_matrix_takes_the_pseudo_inverse_step(self, system, monkeypatch):
+        # a start at A = 0 has dF/dA = 0, so its J^T J is exactly singular and
+        # the stacked inverse raises: that start alone takes the pinv step
+        draw, column = np.random.default_rng, system.unknowns.index("A")
+
+        class Starts:
+            def __init__(self, seed):
+                self.rng = draw(seed)
+
+            def uniform(self, *args, **kwargs):
+                x = self.rng.uniform(*args, **kwargs)
+                x[5, column] = 0.0
+                return x
+
+        pinvs = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.random, "default_rng", Starts)
+        monkeypatch.setattr(np.linalg, "pinv", lambda J, *a, **k: pinvs.append(J.shape) or pinv(J, *a, **k))
+        p = PdeParams(0.5, 1.0, 1.0, 0.6)
+        roots = solve_numeric(system, p, seeds=32)
+        closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
+        assert pinvs[0] == (1, len(system), 4)
+        assert len(roots) == 4
+        for root in roots:
+            assert min(np.max(np.abs(root - c)) for c in closed) < 1e-12
 
     def test_ill_conditioned_starts_fall_back_to_the_pseudo_inverse(self, system, monkeypatch):
         # with every normal matrix counted as ill-conditioned, each step is
@@ -398,13 +443,15 @@ class TestSolveNumeric:
             assert min(np.max(np.abs(root - c)) for c in closed) < 1e-12
 
     # roots found from 32 starts at (a, b, d) = (+-0.5, +-1, +-1), in the order
-    # of itertools.product((1, -1), repeat=3); pinned from the pseudo-inverse
-    # Newton that every step took before the normal equations.  m = 0 has a
-    # curve of roots, so every start ends on its own.
+    # of itertools.product((1, -1), repeat=3): the four families wherever
+    # b*d > 0, however small m is.  m = 0 has a curve of roots, so every start
+    # ends on its own.
     EDGE_ROOT_COUNTS = {
         0.0: [32] * 8,
-        1e-9: [0] * 8,
-        1e-6: [0, 0, 0, 2, 2, 0, 0, 0],
+        1e-300: [4, 0, 0, 4, 4, 0, 0, 4],
+        1e-12: [4, 0, 0, 4, 4, 0, 0, 4],
+        1e-9: [4, 0, 0, 4, 4, 0, 0, 4],
+        1e-6: [4, 0, 0, 4, 4, 0, 0, 4],
         0.5: [4, 0, 0, 4, 4, 0, 0, 4],
         1 - 1e-9: [4, 0, 0, 4, 4, 0, 0, 4],
         1.0: [4, 0, 0, 4, 4, 0, 0, 4],
@@ -416,7 +463,7 @@ class TestSolveNumeric:
         for (sa, sb, sd), pinned in zip(signs, self.EDGE_ROOT_COUNTS[m]):
             p = PdeParams(0.5 * sa, 1.0 * sb, 1.0 * sd, m)
             roots = solve_numeric(system, p, seeds=32)
-            assert len(roots) >= pinned, p
+            assert len(roots) == pinned, p
             if m > 0 and roots:
                 closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
                 for root in roots:
