@@ -28,7 +28,6 @@ a root.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from collections.abc import Sequence
@@ -222,16 +221,14 @@ def specialize(
 
 
 @functools.cache
-def _structure(
-    system: AlgebraicSystem,
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
-    """The walk over the terms of system that binding the parameters needs.
+def _structure(system: AlgebraicSystem) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The walk over the terms of system that binding a, b, d, m needs.
 
     names are the unknowns, and row j of the exponent matrix E holds their
     powers in the j-th monomial of the unknowns that the system uses.  Term k
-    of the equations adds coef[k] times the product of the parameters (a, b,
-    d, m) to the powers P[k] to the entry flat[k] of the coefficient matrix
-    of the given shape."""
+    of the equations adds coef[k] * a**P[k, 0] * b**P[k, 1] * d**P[k, 2] *
+    m**P[k, 3] to entry flat[k] of the (equations, monomials) coefficient
+    matrix."""
     names = tuple(s for s in system.unknowns if s not in PARAMETERS)
     columns: dict[tuple[int, ...], int] = {}
     terms = []
@@ -245,12 +242,11 @@ def _structure(
             exponents = tuple(powers.values())
             j = columns.setdefault(exponents[len(PARAMETERS) :], len(columns))
             terms.append((i, j, float(coef), exponents[: len(PARAMETERS)]))
-    shape = (len(system.equations), len(columns))
     E = np.array(list(columns), dtype=int).reshape(len(columns), len(names))
-    flat = np.array([i * shape[1] + j for i, j, _, _ in terms], dtype=int)
+    flat = np.array([i * len(columns) + j for i, j, _, _ in terms], dtype=int)
     coef = np.array([c for _, _, c, _ in terms])
     P = np.array([powers for _, _, _, powers in terms], dtype=int).reshape(len(terms), len(PARAMETERS))
-    return names, E, flat, coef, P, shape
+    return names, E, flat, coef, P
 
 
 def _bind(system: AlgebraicSystem, p: PdeParams) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -258,10 +254,11 @@ def _bind(system: AlgebraicSystem, p: PdeParams) -> tuple[tuple[str, ...], np.nd
 
     C[i, j] is the float coefficient in equation i of the j-th monomial of
     the unknowns (see _structure)."""
-    names, E, flat, coef, P, shape = _structure(system)
+    names, E, flat, coef, P = _structure(system)
     value = coef
     for k, number in enumerate(p.as_floats()):
         value = value * number ** P[:, k]
+    shape = (len(system.equations), len(E))
     C = np.bincount(flat, weights=value, minlength=shape[0] * shape[1]).reshape(shape)
     return names, C, E
 
@@ -284,8 +281,10 @@ def _normal_inverse(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:  # the stacked call fails for all if one is singular
         inv = np.full_like(N, np.nan)
         for k, matrix in enumerate(N):
-            with contextlib.suppress(np.linalg.LinAlgError):
+            try:
                 inv[k] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                pass
     size = np.abs(N).sum(axis=(1, 2)) * np.abs(inv).sum(axis=(1, 2))
     return inv, size * NORMAL_MIN_RATIO < 1.0
 
@@ -377,8 +376,8 @@ def solve_numeric(
             x_try = x[active[back], None, :] - halvings[None, :, None] * step[back, None, :]
             f_try = fval(x_try)
             lower = np.linalg.norm(f_try, axis=2) < norm[back, None]
-            first = lower.argmax(axis=1)
-            x_new[back], f_new[back] = x_try[np.arange(back.size), first], f_try[np.arange(back.size), first]
+            first = (np.arange(back.size), lower.argmax(axis=1))
+            x_new[back], f_new[back] = x_try[first], f_try[first]
             moved[back] = lower.any(axis=1)  # a start whose every damping failed stops
         active = active[moved]
         x[active], fx[active] = x_new[moved], f_new[moved]
