@@ -49,7 +49,7 @@ PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_generic
 
 NEWTON_MAX_STEPS = 200
 NEWTON_HALVINGS = 20  # the line search tries the damping 1, 1/2, ... 2**-19
-NORMAL_MIN_RATIO = 1e-10  # below this eigenvalue ratio of J^T J, a step uses pinv(J)
+NORMAL_MIN_RATIO = 1e-10  # a step uses pinv(J) unless _normal_inverse bounds the ratio above this
 NEWTON_RESIDUAL_ACCEPT = 1e-10
 ROOT_DEDUP_TOL = 1e-8
 
