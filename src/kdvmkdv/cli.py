@@ -24,6 +24,7 @@ from .solver import (
     PERTURBABLE,
     SIGN_PAIRS,
     DegenerateEquation,
+    NonFiniteSolution,
     NoRealSolution,
     back_substitute_generic,
     solve_closed_form,
@@ -52,6 +53,7 @@ CONFIG_KEYS = ("a", "b", "d", "m", "timedep", "N", "dt", "T", "periods", "window
 ERROR_EXITS = {
     NoRealSolution: EXIT_NO_SOLUTION,
     DegenerateEquation: EXIT_NO_SOLUTION,
+    NonFiniteSolution: EXIT_NUMERICAL,
     sim.SimulationBlowUp: EXIT_NUMERICAL,
     sim.StabilityError: EXIT_NUMERICAL,
     sim.UnresolvedGrid: EXIT_NUMERICAL,
@@ -199,8 +201,8 @@ def _velocity_law_check(args, p: PdeParams) -> tuple[int, list[str]]:
     ts = np.linspace(args.t_ref, args.t_ref + 4.0, 50)
     rc = np.max(np.abs(waves.constraint_residual(law, ts, form="constraint")))
     rp = np.max(np.abs(waves.constraint_residual(law, ts, form="paper")))
-    status = "PASS" if rc < CONSTRAINT_TOL else "FAIL"
-    return int(rc >= CONSTRAINT_TOL), [
+    status = "PASS" if rc < CONSTRAINT_TOL else "FAIL"  # a NaN fails
+    return int(status == "FAIL"), [
         "%s velocity-constraint: max |v + t*dv/dt - C*h| = %s (quadrature law)" % (status, _fmt(rc)),
         "REPORT velocity-paper-form: max |v + t*dv/dt - C*h| = %s (reported, not asserted)" % (_fmt(rp),),
     ]
@@ -246,7 +248,7 @@ def cmd_verify(args) -> int:
             print("PASS exact %s" % (label,))
         if not perturb:
             res = pde_residuals[i]
-            if res > 1e-8:
+            if not res <= 1e-8:  # a NaN fails
                 failures += 1
                 print("FAIL pde-residual %s: L-inf %s" % (label, _fmt(res)))
             else:

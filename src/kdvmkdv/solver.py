@@ -62,6 +62,10 @@ class DegenerateEquation(ValueError):
     """b = 0 degenerates the equation to KdV; the cn/dn ansatz does not apply."""
 
 
+class NonFiniteSolution(ValueError):
+    """The closed form overflows: A, B, D or v is not a finite float."""
+
+
 @dataclass(frozen=True)
 class SolutionFamily:
     """One closed-form solution: u = A*cn(xi,m) + B*dn(xi,m) + D, xi = x - v*t."""
@@ -99,6 +103,9 @@ def solve_closed_form(p: PdeParams) -> list[SolutionFamily]:
     amp = math.sqrt(1.5 * d / b)
     D = -a / (2.0 * b)
     v = (2.0 * b * d * (1.0 + m) - a * a) / (4.0 * b)
+    if not all(map(math.isfinite, (math.sqrt(m) * amp, amp, D, v))):
+        raise NonFiniteSolution("the closed form overflows: |A| = %r, |B| = %r, D = %r, v = %r"
+                                % (math.sqrt(m) * amp, amp, D, v))
     fams = []
     for sa, sb in SIGN_PAIRS:
         fams.append(
@@ -289,6 +296,47 @@ def _normal_inverse(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, size * NORMAL_MIN_RATIO < 1.0
 
 
+def _polynomial_map(C: np.ndarray, E: np.ndarray):
+    """fval and fjac of F(x) = C @ x**E, the monomials gathered from one table
+    of the powers x**0 .. x**top.
+
+    fval(x) is F at every point of a stack x[..., n], equations first:
+    fval(x)[i, ...] is F_i.  fjac(x) is G = [F; J^T] at every row of a
+    (points, n) array: G[s, 0, :] = F(x[s]) and G[s, 1 + k, :] = dF/dx_k =
+    (C * E[:, k]) @ x[s]**(E - e_k).  It takes all n + 1 rows from the
+    stacked exponents [E; E - e_1; ...; E - e_n] and coefficients
+    [C; C * E[:, 1]; ...; C * E[:, n]]."""
+    n = E.shape[1]
+    top = int(E.max(initial=0))
+    stacked_E = np.concatenate([E[None], np.maximum(E[None] - np.eye(n, dtype=int)[:, None, :], 0)])
+    stacked_C = np.concatenate([C[None], C[None] * E.T[:, None, :]])
+
+    def gather(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where factor i of each monomial sits in the table, factors first."""
+        index = np.moveaxis(exponents, -1, 0)
+        return index, np.arange(n).reshape((n,) + (1,) * (index.ndim - 1))
+
+    f_index, g_index = gather(E), gather(stacked_E)
+
+    def monomials(x: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The monomials of index at every point, points last; the product
+        runs over the leading axis of the gathered factors."""
+        xt = np.moveaxis(x, -1, 0)
+        powers = np.empty((top + 1,) + xt.shape)
+        powers[0] = 1.0
+        for k in range(1, top + 1):
+            powers[k] = powers[k - 1] * xt
+        return np.multiply.reduce(powers[index], axis=0)
+
+    def fval(x: np.ndarray) -> np.ndarray:
+        return (C @ monomials(x, f_index).reshape(len(E), -1)).reshape((len(C),) + x.shape[:-1])
+
+    def fjac(x: np.ndarray) -> np.ndarray:
+        return (stacked_C @ monomials(x, g_index)).transpose(2, 0, 1)
+
+    return fval, fjac
+
+
 def solve_numeric(
     system: AlgebraicSystem,
     p: PdeParams,
@@ -298,23 +346,26 @@ def solve_numeric(
 
     Equations are pre-bound with the numeric a, b, d, m into one float
     coefficient matrix over the monomials of the unknowns (the system's
-    unknown symbols: A, B, D, v for the first-order ansatz).  The two roots
-    A = +-sqrt(3dm/2b) close onto a double root as m -> 0, so for m != 0 the
-    search runs on A in units of sqrt|dm/b|, and each equation whose
-    coefficients are then all below 1 in magnitude is divided by its largest
-    one; m = 0, b = 0 and d = 0 keep the unscaled equations.
+    unknown symbols: A, B, D, v for the first-order ansatz).  The roots
+    A = +-sqrt(3dm/2b) close onto a double root as m -> 0, and B = +-sqrt(3d/2b)
+    as d -> 0, so for m != 0 the search runs on A in units of sqrt|dm/b| and
+    on B in units of sqrt|d/b|, and each equation whose coefficients are then
+    all below 1 in magnitude is divided by its largest one; m = 0, b = 0 and
+    d = 0 keep the unscaled equations.
     The starts, drawn from a generator seeded with 0, run as one batch.  Each
-    step evaluates F and J for every active start from one table of powers
-    and takes the Gauss-Newton step with the stacked inverses of the normal
-    matrices J^T J; a start whose normal matrix is ill-conditioned
-    (_normal_inverse) takes the pseudo-inverse step instead.  The line search
-    tries the full step of every start, then the damping 1/2, ... 2**-19 of
-    the starts whose full step did not lower their residual norm, and takes
-    the first damping that does.  Roots with residual norm below 1e-10 are
-    kept, less those within 1e-8 of an earlier one, and returned sorted
-    lexicographically on their values rounded to 1e-9, far above the noise of
-    the last bits, so that roots with the same A sort by B; the residual
-    norm, distance and rounding are taken in the scaled units.
+    step takes G = [F; J^T] of every active start from one table of powers
+    (_polynomial_map) and its Gram matrix G G^T, whose blocks are |F|^2,
+    J^T F and the normal matrix J^T J.  The Gauss-Newton step comes from the
+    stacked inverses of the normal matrices; a start whose normal matrix is
+    ill-conditioned (_normal_inverse) takes the pseudo-inverse step instead.
+    The line search tries the full step of every start, then the damping
+    1/2, ... 2**-19 of the starts whose full step did not lower their
+    residual norm, and takes the first damping that does.  Roots with
+    residual norm below 1e-10 are kept, less those within 1e-8 of an earlier
+    one, and returned sorted lexicographically on their values rounded to
+    1e-9, far above the noise of the last bits, so that roots with the same A
+    sort by B; the residual norm, distance and rounding are taken in the
+    scaled units.
     """
     if seeds < 16:
         raise ValueError("seeds must be >= 16 for meaningful coverage")
@@ -325,64 +376,67 @@ def solve_numeric(
     amplitude = math.sqrt(abs(d * m / b)) if b else 0.0
     if "A" in names and 0.0 < amplitude < math.inf:
         unit[names.index("A")] = amplitude
+        size = math.sqrt(abs(d / b))
+        if "B" in names and 0.0 < size < math.inf:
+            unit[names.index("B")] = size
         C = C * np.prod(unit**E, axis=1)
         # no equation is scaled down, so the residual tests are no weaker than
         # on the equations as derived; one that underflows to 0 stays 0
         largest = np.max(np.abs(C), axis=1, keepdims=True)
         C = C / np.where(largest > 0.0, np.minimum(largest, 1.0), 1.0)
-    # dF/dx_k = (C * E[:, k]) @ x**(E - e_k): one lowered exponent matrix per unknown
-    dC = C[None, :, :] * E.T[:, None, :]
-    dE = np.maximum(E[None, :, :] - np.eye(n, dtype=int)[:, None, :], 0)
-    unknown = np.arange(n)
-    top = int(E.max(initial=0))
-
-    def monomials(x: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-        """x[..., i]**exponents[..., j, i] multiplied over i, gathered from x**0..x**top."""
-        powers = np.empty(x.shape + (top + 1,))
-        powers[..., 0] = 1.0
-        for k in range(1, top + 1):
-            powers[..., k] = powers[..., k - 1] * x
-        return np.prod(powers[..., unknown, exponents], axis=-1)
-
-    def fval(x: np.ndarray) -> np.ndarray:
-        return monomials(x, E) @ C.T
-
-    def jval(x: np.ndarray) -> np.ndarray:
-        return np.einsum("kij,skj->sik", dC, monomials(x, dE))
+    fval, fjac = _polynomial_map(C, E)
 
     halvings = 0.5 ** np.arange(1, NEWTON_HALVINGS)
     scale = max(1.0, math.sqrt(abs(1.5 * d / b)) if b else 1.0, abs(a / (2 * b)) if b else 1.0)
+    if not scale < math.inf:
+        raise NonFiniteSolution("the start range of the numeric search overflows (scale %r)" % (scale,))
     rng = np.random.default_rng(0)
     x = rng.uniform(-3.0 * scale, 3.0 * scale, size=(seeds, n))
-    fx = fval(x)
-    active = np.arange(seeds)
+    fx = np.empty((seeds, len(C)))
+    # the active starts, their points, their G and its Gram matrix G G^T; x
+    # and fx take a start's point and residuals when it stops
+    active, x_act, G = np.arange(seeds), x, fjac(x)
+    gram = G @ G.transpose(0, 2, 1)
+
+    def stop(ended: np.ndarray) -> None:
+        x[active[ended]], fx[active[ended]] = x_act[ended], G[ended, 0]
+
     for _ in range(NEWTON_MAX_STEPS):
-        norm = np.linalg.norm(fx[active], axis=1)
-        active, norm = active[norm >= 1e-13], norm[norm >= 1e-13]
-        if not active.size:
-            break
-        J, f = jval(x[active]), fx[active]
-        inv, well = _normal_inverse(np.einsum("sik,sil->skl", J, J))
-        step = np.empty((active.size, n))
-        if well.any():
-            step[well] = np.einsum("skl,sil,si->sk", inv[well], J[well], f[well])
-        if not well.all():
-            step[~well] = np.einsum("sij,sj->si", np.linalg.pinv(J[~well]), f[~well])
-        x_new = x[active] - step
-        f_new = fval(x_new)
-        moved = np.linalg.norm(f_new, axis=1) < norm
-        back = np.flatnonzero(~moved)
-        if back.size:  # the starts whose full step failed try its halvings
-            x_try = x[active[back], None, :] - halvings[None, :, None] * step[back, None, :]
+        going = gram[:, 0, 0] >= 1e-13**2  # a start with a NaN residual stops too
+        if not going.all():
+            stop(~going)
+            active, x_act, G, gram = (v[going] for v in (active, x_act, G, gram))
+            if not active.size:
+                break
+        norm2 = gram[:, 0, 0]
+        inv, well = _normal_inverse(gram[:, 1:, 1:])
+        if well.all():
+            step = (inv @ gram[:, 1:, :1])[..., 0]
+        else:
+            step = np.empty((active.size, n))
+            step[well] = (inv[well] @ gram[well, 1:, :1])[..., 0]
+            J = G[~well, 1:].transpose(0, 2, 1)
+            step[~well] = (np.linalg.pinv(J) @ G[~well, 0, :, None])[..., 0]
+        x_new = x_act - step
+        G_new = fjac(x_new)
+        gram_new = G_new @ G_new.transpose(0, 2, 1)
+        moved = gram_new[:, 0, 0] < norm2
+        if not moved.all():  # the starts whose full step failed try its halvings
+            back = np.flatnonzero(~moved)
+            x_try = x_act[back, None, :] - halvings[None, :, None] * step[back, None, :]
             f_try = fval(x_try)
-            lower = np.linalg.norm(f_try, axis=2) < norm[back, None]
-            first = (np.arange(back.size), lower.argmax(axis=1))
-            x_new[back], f_new[back] = x_try[first], f_try[first]
+            lower = np.einsum("ibh,ibh->bh", f_try, f_try) < norm2[back, None]
+            x_new[back] = x_try[np.arange(back.size), lower.argmax(axis=1)]
+            G_back = fjac(x_new[back])
+            G_new[back], gram_new[back] = G_back, G_back @ G_back.transpose(0, 2, 1)
             moved[back] = lower.any(axis=1)  # a start whose every damping failed stops
-        active = active[moved]
-        x[active], fx[active] = x_new[moved], f_new[moved]
+            if not moved.all():
+                stop(~moved)
+                active, x_new, G_new, gram_new = (v[moved] for v in (active, x_new, G_new, gram_new))
+        x_act, G, gram = x_new, G_new, gram_new
+    x[active], fx[active] = x_act, G[:, 0]
     found = x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]
     near = np.linalg.norm(found[:, None, :] - found[None, :, :], axis=2) < ROOT_DEDUP_TOL
-    roots = list(found[~np.tril(near, -1).any(axis=1)])
-    roots.sort(key=lambda r: tuple(np.round(r, 9)))
-    return [r * unit for r in roots]
+    roots = found[~np.tril(near, -1).any(axis=1)]
+    order = sorted(range(len(roots)), key=np.round(roots, 9).tolist().__getitem__)
+    return [roots[i] * unit for i in order]

@@ -224,16 +224,19 @@ class ParamPoly:
         numbers = {s: _exact(v) for s, v in mapping.items() if s not in polys}
         res: dict[Mono, int | Fraction] = {}
         for mono, coef in self.terms.items():
-            factor = ParamPoly.const(1)
+            factor = None
             kept: list[tuple[str, int]] = []
             for s, e in mono:
                 if s in numbers:
                     coef = coef * numbers[s] ** e
                 elif s in polys:
-                    factor = factor * polys[s] ** e
+                    factor = polys[s] ** e if factor is None else factor * polys[s] ** e
                 else:
                     kept.append((s, e))
             rest = tuple(kept)
+            if factor is None:  # only numbers went in: the rest of the monomial stays
+                res[rest] = res.get(rest, 0) + coef
+                continue
             for m2, c2 in factor.terms.items():
                 mono2 = _mono_mul(m2, rest)
                 res[mono2] = res.get(mono2, 0) + coef * c2

@@ -246,6 +246,36 @@ class TestSolve:
         assert len(root_lines) == 4
         assert all(l.endswith("tag=matches-closed-form") for l in root_lines)
 
+    @pytest.mark.parametrize("d", ["1e-300", "1e-12"])
+    def test_numeric_roots_at_a_tiny_d_are_the_four_families(self, capsys, d):
+        # +-B = +-sqrt(3d/2b) close onto a double root as d -> 0, as +-A do as
+        # m -> 0: the search runs on B in units of sqrt|d/b| too, where it
+        # claimed 31 roots outside the paper classes at d = 1e-300 and found
+        # A to 4 digits at d = 1e-12
+        code, out, _ = run_cli(capsys, "solve", "-a", "0", "-b", "1", "-d", d, "-m", "0.5", "--numeric")
+        assert code == 0
+        root_lines = [l for l in out.splitlines() if l.startswith("root ")]
+        assert len(root_lines) == 4
+        assert all(l.endswith("tag=matches-closed-form") for l in root_lines)
+        fams = {(f.sign_A, f.sign_B): f for f in solve_closed_form(PdeParams(0.0, 1.0, float(d), 0.5))}
+        for line in root_lines:  # D and v are searched unscaled, to 1e-10 absolute
+            A, B = (float(field.split("=")[1]) for field in line.split()[1:3])
+            fam = fams.pop((int(np.sign(A)), int(np.sign(B))))
+            assert [A / fam.A, B / fam.B] == pytest.approx([1.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-b=1e-320"],
+        ["solve", "-b=1e-320"],
+        ["solve", "-b=1e-320", "--numeric"],
+    ])
+    def test_overflowing_closed_forms_are_numerical_failures(self, capsys, argv):
+        # sqrt(3d/2b) overflows: the families would read A = B = inf, their
+        # spectral residuals NaN, and the numeric search's start range inf
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert "inf" not in out and "nan" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_numeric_roots_are_tagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "-a", "0", "-b", "1", "-d", "1", "-m", "0.5", "--numeric"
@@ -342,6 +372,18 @@ class TestVerify:
             code, out, err = run_cli(capsys, "verify", "--perturb", spec)
             assert code == 2
             assert "unknown" in err and out == ""
+
+    def test_a_nan_pde_residual_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(sim, "spectral_residuals", lambda fams, N: [math.nan] * len(fams))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert out.count("FAIL pde-residual") == 4 and "PASS pde-residual" not in out
+
+    def test_a_nan_velocity_constraint_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(waves, "constraint_residual", lambda law, ts, form: np.full(np.shape(ts), np.nan))
+        code, out, _ = run_cli(capsys, "verify", "--timedep", "--f", "exp:1")
+        assert code == 1
+        assert "FAIL velocity-constraint" in out
 
     def test_timedep_reports_both_forms(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--timedep", "--f", "exp:1")

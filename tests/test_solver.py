@@ -15,6 +15,7 @@ from kdvmkdv import solver
 from kdvmkdv.ansatz import PdeParams, derive_system
 from kdvmkdv.solver import (
     BINV,
+    PARAMETERS,
     PERTURBABLE,
     SIGN_PAIRS,
     SGN_A,
@@ -22,6 +23,7 @@ from kdvmkdv.solver import (
     SQRT_M,
     SQRT_Q,
     DegenerateEquation,
+    NonFiniteSolution,
     NoRealSolution,
     SolutionFamily,
     back_substitute_generic,
@@ -164,6 +166,12 @@ class TestClosedForm:
             solve_closed_form(PdeParams(0, 1, -1, 0.5))
         with pytest.raises(NoRealSolution):
             solve_closed_form(PdeParams(0, 1, 1, 0))
+
+    @pytest.mark.parametrize("params", [(0, 1e-320, 1, 0.5), (1e300, 1e-10, 1e-10, 0.5), (1e160, 1, 1, 0.5)])
+    def test_overflowing_closed_forms_are_refused(self, params):
+        # A and B overflow; D = -a/(2b), and v with it; v = (2bd(1+m) - a^2)/(4b) alone
+        with pytest.raises(NonFiniteSolution, match="overflows"):
+            solve_closed_form(PdeParams(*params))
 
     def test_class_labels_follow_taxonomy(self):
         same = solve_closed_form(PdeParams(2, 1, 1, 0.5))
@@ -322,6 +330,10 @@ class TestSolveNumeric:
         for r in roots:
             assert r[3] == pytest.approx(0.75, abs=1e-9)
 
+    def test_an_overflowing_start_range_is_refused(self, system):
+        with pytest.raises(NonFiniteSolution, match="start range"):
+            solve_numeric(system, PdeParams(0.0, 1e-320, 1.0, 0.5))
+
     def test_requires_enough_seeds(self, system):
         with pytest.raises(ValueError):
             solve_numeric(system, PdeParams(0.0, 1.0, 1.0, 0.5), seeds=8)
@@ -466,6 +478,50 @@ class TestSolveNumeric:
                 closed = [np.array([f.A, f.B, f.D, f.v]) for f in solve_closed_form(p)]
                 for root in roots:
                     assert min(np.max(np.abs(root - c)) for c in closed) < 1e-9, p
+
+    # the same grid at m = 0.5 and tiny |d|: +-B = +-sqrt(3d/2b) close onto a
+    # double root as d -> 0, as +-A do as m -> 0.  At m = 0 nothing is
+    # scaled, and every start ends on the curve of roots as before.
+    EDGE_D_ROOT_COUNTS = {
+        (0.0, 1e-300): [32] * 8,
+        (0.5, 1e-300): [4, 0, 0, 4, 4, 0, 0, 4],
+        (0.5, 1e-20): [4, 0, 0, 4, 4, 0, 0, 4],
+        (0.5, 1e-12): [4, 0, 0, 4, 4, 0, 0, 4],
+        (0.5, 1e-6): [4, 0, 0, 4, 4, 0, 0, 4],
+    }
+
+    @pytest.mark.parametrize("m,d", sorted(EDGE_D_ROOT_COUNTS))
+    def test_edge_grid_at_a_tiny_d(self, system, m, d):
+        signs = itertools.product((1, -1), repeat=3)
+        for (sa, sb, sd), pinned in zip(signs, self.EDGE_D_ROOT_COUNTS[m, d]):
+            p = PdeParams(0.5 * sa, 1.0 * sb, d * sd, m)
+            roots = solve_numeric(system, p, seeds=32)
+            assert len(roots) == pinned, p
+            if m > 0 and roots:
+                closed = [np.array([f.A, f.B]) for f in solve_closed_form(p)]
+                for root in roots:
+                    assert min(np.max(np.abs(root[:2] / c - 1.0)) for c in closed) < 1e-9, p
+
+    def test_fjac_matches_finite_differences(self, system):
+        """Row 0 of fjac is F, as fval and the equations evaluate it; rows
+        1..n are the rows of J^T, as central differences of fval give them."""
+        rng = np.random.default_rng(7)
+        h = 1e-6
+        for _ in range(5):
+            p = rational_params(rng)
+            names, C, E = solver._bind(system, p)
+            fval, fjac = solver._polynomial_map(C, E)
+            x = rng.uniform(-2.0, 2.0, size=(6, len(names)))
+            G = fjac(x)
+            assert G.shape == (6, len(names) + 1, len(system))
+            base = dict(zip(PARAMETERS, p.as_floats()))
+            direct = [[eq.eval({**base, **dict(zip(names, point))}) for eq in system.equations] for point in x]
+            np.testing.assert_allclose(G[:, 0], direct, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(fval(x).T, direct, rtol=1e-13, atol=1e-13)
+            for k in range(len(names)):
+                e = h * np.eye(len(names))[k]
+                fd = (fval(x + e) - fval(x - e)).T / (2 * h)
+                np.testing.assert_allclose(G[:, 1 + k], fd, rtol=1e-7, atol=1e-7)
 
     def test_deterministic(self, system):
         p = PdeParams(0.5, 1.0, 1.0, 0.6)

@@ -288,6 +288,18 @@ class TestNormalization:
             want = want + term
         assert p.substitute(mapping) == want
 
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.one_of(int_polys(), param_polys()),
+           numbers=st.dictionaries(st.sampled_from(["a", "b", "m", "A", "v"]),
+                                   st.one_of(st.integers(min_value=-3, max_value=3), _small_fraction)))
+    def test_numbers_substitute_as_constant_polynomials(self, p, numbers):
+        """A mapping of numbers only gives the terms, and the coefficient
+        types, of the same numbers put in as constant polynomials."""
+        got = p.substitute(numbers)
+        want = p.substitute({s: P.const(v) for s, v in numbers.items()})
+        assert got.terms == want.terms
+        assert {mono: type(c) for mono, c in got.terms.items()} == {mono: type(c) for mono, c in want.terms.items()}
+
     @settings(max_examples=80, deadline=None)
     @given(p=int_polys(), q=int_polys(), n=st.integers(min_value=0, max_value=3),
            by_a=int_polys(), v_value=st.integers(min_value=-3, max_value=3))
