@@ -312,15 +312,17 @@ def _polynomial_map(C: np.ndarray, E: np.ndarray):
     stacked_C = np.concatenate([C[None], C[None] * E.T[:, None, :]])
 
     def gather(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Where factor i of each monomial sits in the table, factors first."""
+        """The index of powers[exponents[..., i], i] in the table, the factor
+        axis i first."""
         index = np.moveaxis(exponents, -1, 0)
         return index, np.arange(n).reshape((n,) + (1,) * (index.ndim - 1))
 
     f_index, g_index = gather(E), gather(stacked_E)
 
     def monomials(x: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The monomials of index at every point, points last; the product
-        runs over the leading axis of the gathered factors."""
+        """The monomials of index at every point, points last.  With the
+        factor axis leading and the points trailing, the product over the
+        factors and the coefficient matmul each run on whole rows."""
         xt = np.moveaxis(x, -1, 0)
         powers = np.empty((top + 1,) + xt.shape)
         powers[0] = 1.0
