@@ -233,6 +233,8 @@ class ParamPoly:
                     factor = polys[s] ** e if factor is None else factor * polys[s] ** e
                 else:
                     kept.append((s, e))
+            if not coef:  # a zero number, as the zero polynomial would, leaves no term
+                continue
             rest = tuple(kept)
             if factor is None:  # only numbers went in: the rest of the monomial stays
                 res[rest] = res.get(rest, 0) + coef

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kdvmkdv import elliptic
@@ -292,9 +292,11 @@ class TestNormalization:
     @given(p=st.one_of(int_polys(), param_polys()),
            numbers=st.dictionaries(st.sampled_from(["a", "b", "m", "A", "v"]),
                                    st.one_of(st.integers(min_value=-3, max_value=3), _small_fraction)))
+    @example(p=P.const(1) + sym("a"), numbers={"a": Fraction(0)})
     def test_numbers_substitute_as_constant_polynomials(self, p, numbers):
         """A mapping of numbers only gives the terms, and the coefficient
-        types, of the same numbers put in as constant polynomials."""
+        types, of the same numbers put in as constant polynomials: a zero
+        number leaves no term, so 1 + a at a = Fraction(0) stays the int 1."""
         got = p.substitute(numbers)
         want = p.substitute({s: P.const(v) for s, v in numbers.items()})
         assert got.terms == want.terms
