@@ -162,9 +162,10 @@ def cmd_solve(args) -> int:
         print(_family_record(fam))
     if getattr(args, "numeric", False):
         roots = solve_numeric(derive_system(1), params.floats, seeds=32)
-        targets = [np.array([f.A, f.B, f.D, f.v]) for f in fams]
-        for root in roots:
-            matched = any(np.linalg.norm(root - t) < 1e-7 for t in targets)
+        targets = np.array([[f.A, f.B, f.D, f.v] for f in fams])
+        gap = np.reshape(roots, (-1, 1, 4)) - targets
+        matches = (np.sqrt((gap * gap).sum(axis=2)) < 1e-7).any(axis=1)
+        for root, matched in zip(roots, matches):
             tag = "matches-closed-form" if matched else "outside paper classes"
             print(
                 "root A=%s B=%s D=%s v=%s tag=%s"

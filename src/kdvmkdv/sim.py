@@ -169,11 +169,21 @@ class _Stepper:
         self.pad[M] = 1.0
         self.dx = -0.5j * self.k
         self._ops = (None,)  # (dt, *_etd_coefficients(lin, dt)) of the last step
+        self._planned: dict[float, tuple] = {}  # step size -> its coefficients, from plan
+
+    def plan(self, spans: np.ndarray) -> None:
+        """Build the ETDRK4 coefficients of every distinct step size in spans
+        in one stacked call; _operators takes them from here, bit for bit
+        the coefficients it would build one step size at a time."""
+        spans = np.unique(spans)
+        coefs = _etd_coefficients(self.lin[None, :], spans[:, None])
+        self._planned = {dt: tuple(c[i] for c in coefs) for i, dt in enumerate(spans.tolist())}
 
     def _operators(self, dt: float) -> tuple:
         """E_half, E, Q, f1, f2 and f3 of a step of dt."""
         if self._ops[0] != dt:
-            self._ops = (dt, *_etd_coefficients(self.lin, dt))
+            planned = self._planned.get(dt)
+            self._ops = (dt, *(planned or _etd_coefficients(self.lin, dt)))
         return self._ops[1:]
 
     def nonlinear(self, vh: np.ndarray) -> np.ndarray:
@@ -315,7 +325,10 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     estimate per unit tau is at most RTOL, proposing the next by the
     third-order rule dt * SAFETY * (RTOL / estimate)^(1/3), capped by the
     advective CFL bound; an interval's plan, and so the ETDRK4 coefficients,
-    change only when the proposal no longer fits it.  A step below MIN_STEP
+    change only when the proposal no longer fits it.  The first step that
+    spans a whole interval (the snapshot floor) builds the coefficients of
+    the spans of that interval and all later ones in one call
+    (_Stepper.plan).  A step below MIN_STEP
     times the run's span raises StabilityError, and a run whose CFL bound is
     below that floor is refused before its first step.  A step that gives
     non-finite values raises SimulationBlowUp in either kind of run.  A
@@ -359,6 +372,7 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     g = stepper.nonlinear(vh)
     steps = rejected = 0
     dt_max = 0.0
+    planned = False
 
     def t_at(j: int, s: float) -> float:
         """The time of pseudo-time s in snapshot interval j, interpolated
@@ -372,6 +386,11 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
                 need = int(np.ceil(abs(taus[j] - tau) / dt))
                 if need != left:
                     left, h = need, (taus[j] - tau) / need
+                    if need == 1 and tau == taus[j - 1] and not planned:
+                        # at the snapshot floor: each interval from here on is
+                        # likely one step of its whole span
+                        stepper.plan(np.diff(tau_array[j - 1 :]))
+                        planned = True
             out, g5, err = stepper.embedded_step(vh, h, g)
             if not np.isfinite(err):
                 raise _blow_up(t_at(j, tau + h))

@@ -49,6 +49,7 @@ PERTURBABLE = ("A", "B", "D", "v")  # closed-form values back_substitute_generic
 
 NEWTON_MAX_STEPS = 200
 NEWTON_HALVINGS = 20  # the line search tries the damping 1, 1/2, ... 2**-19
+_DAMPINGS = 0.5 ** np.arange(1, NEWTON_HALVINGS)  # those after the full step
 NORMAL_MIN_RATIO = 1e-10  # a step uses pinv(J) unless _normal_inverse bounds the ratio above this
 NEWTON_RESIDUAL_ACCEPT = 1e-10
 ROOT_DEDUP_TOL = 1e-8
@@ -296,9 +297,30 @@ def _normal_inverse(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, size * NORMAL_MIN_RATIO < 1.0
 
 
-def _polynomial_map(C: np.ndarray, E: np.ndarray):
-    """fval and fjac of F(x) = C @ x**E, the monomials gathered from one table
-    of the powers x**0 .. x**top.
+@functools.cache
+def _layout(system: AlgebraicSystem) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """What evaluating F and G = [F; J^T] of system needs besides C.
+
+    n is the number of unknowns and top their highest power.  The table of
+    the powers x**0 .. x**top of the points is laid out (power, unknown,
+    point) and read by rows: the factor of unknown k to the power e is row
+    e*n + k.  f_rows[k, j] is the row of unknown k's factor in the j-th
+    monomial of F (E[j, k]), and g_rows[k, r, j] that in the j-th monomial
+    of row r of the stacked exponents [E; E - e_1; ...; E - e_n] of G
+    (clipped at 0, where C * E[:, k] is 0)."""
+    _, E, *_ = _structure(system)
+    n = E.shape[1]
+    stacked_E = np.concatenate([E[None], np.maximum(E[None] - np.eye(n, dtype=int)[:, None, :], 0)])
+    unknown = np.arange(n)
+    f_rows = E.T * n + unknown[:, None]
+    g_rows = stacked_E.transpose(2, 0, 1) * n + unknown[:, None, None]
+    return n, int(E.max(initial=0)), f_rows, g_rows
+
+
+def _polynomial_map(system: AlgebraicSystem, C: np.ndarray):
+    """fval and fjac of F(x) = C @ x**E, E being the exponent matrix of
+    system (_structure), the monomials gathered from one table of the powers
+    x**0 .. x**top (_layout).
 
     fval(x) is F at every point of a stack x[..., n], equations first:
     fval(x)[i, ...] is F_i.  fjac(x) is G = [F; J^T] at every row of a
@@ -306,37 +328,39 @@ def _polynomial_map(C: np.ndarray, E: np.ndarray):
     (C * E[:, k]) @ x[s]**(E - e_k).  It takes all n + 1 rows from the
     stacked exponents [E; E - e_1; ...; E - e_n] and coefficients
     [C; C * E[:, 1]; ...; C * E[:, n]]."""
-    n = E.shape[1]
-    top = int(E.max(initial=0))
-    stacked_E = np.concatenate([E[None], np.maximum(E[None] - np.eye(n, dtype=int)[:, None, :], 0)])
+    _, E, *_ = _structure(system)
+    n, top, f_rows, g_rows = _layout(system)
     stacked_C = np.concatenate([C[None], C[None] * E.T[:, None, :]])
 
-    def gather(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The index of powers[exponents[..., i], i] in the table, the factor
-        axis i first."""
-        index = np.moveaxis(exponents, -1, 0)
-        return index, np.arange(n).reshape((n,) + (1,) * (index.ndim - 1))
-
-    f_index, g_index = gather(E), gather(stacked_E)
-
-    def monomials(x: np.ndarray, index: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The monomials of index at every point, points last.  With the
-        factor axis leading and the points trailing, the product over the
-        factors and the coefficient matmul each run on whole rows."""
-        xt = np.moveaxis(x, -1, 0)
-        powers = np.empty((top + 1,) + xt.shape)
+    def monomials(xt: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The monomials of rows at every column of the (n, points) array
+        xt.  With the factor axis leading and the points trailing, the
+        product over the factors and the coefficient matmul each run on
+        whole rows."""
+        powers = np.empty((top + 1, n, xt.shape[1]))
         powers[0] = 1.0
         for k in range(1, top + 1):
             powers[k] = powers[k - 1] * xt
-        return np.multiply.reduce(powers[index], axis=0)
+        return np.multiply.reduce(powers.reshape((top + 1) * n, -1)[rows], axis=0)
 
     def fval(x: np.ndarray) -> np.ndarray:
-        return (C @ monomials(x, f_index).reshape(len(E), -1)).reshape((len(C),) + x.shape[:-1])
+        return (C @ monomials(x.reshape(-1, n).T, f_rows)).reshape((len(C),) + x.shape[:-1])
 
     def fjac(x: np.ndarray) -> np.ndarray:
-        return (stacked_C @ monomials(x, g_index)).transpose(2, 0, 1)
+        return (stacked_C @ monomials(x.T, g_rows)).transpose(2, 0, 1)
 
     return fval, fjac
+
+
+@functools.cache
+def _unit_starts(seeds: int, n: int) -> np.ndarray:
+    """The starts of solve_numeric in the unit cube: seeds rows of n draws of
+    a generator seeded with 0.  lo + (hi - lo) * u is what the generator's
+    uniform(lo, hi) gives, bit for bit.  Drawn once per process and shared,
+    so read-only."""
+    u = np.random.default_rng(0).random((seeds, n))
+    u.flags.writeable = False
+    return u
 
 
 def solve_numeric(
@@ -354,7 +378,8 @@ def solve_numeric(
     on B in units of sqrt|d/b|, and each equation whose coefficients are then
     all below 1 in magnitude is divided by its largest one; m = 0, b = 0 and
     d = 0 keep the unscaled equations.
-    The starts, drawn from a generator seeded with 0, run as one batch.  Each
+    The starts, drawn once per process from a generator seeded with 0
+    (_unit_starts) and stretched over the start range, run as one batch.  Each
     step takes G = [F; J^T] of every active start from one table of powers
     (_polynomial_map) and its Gram matrix G G^T, whose blocks are |F|^2,
     J^T F and the normal matrix J^T J.  The Gauss-Newton step comes from the
@@ -386,14 +411,13 @@ def solve_numeric(
         # on the equations as derived; one that underflows to 0 stays 0
         largest = np.max(np.abs(C), axis=1, keepdims=True)
         C = C / np.where(largest > 0.0, np.minimum(largest, 1.0), 1.0)
-    fval, fjac = _polynomial_map(C, E)
+    fval, fjac = _polynomial_map(system, C)
 
-    halvings = 0.5 ** np.arange(1, NEWTON_HALVINGS)
     scale = max(1.0, math.sqrt(abs(1.5 * d / b)) if b else 1.0, abs(a / (2 * b)) if b else 1.0)
-    if not scale < math.inf:
+    lo, hi = -3.0 * scale, 3.0 * scale
+    if not hi - lo < math.inf:
         raise NonFiniteSolution("the start range of the numeric search overflows (scale %r)" % (scale,))
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-3.0 * scale, 3.0 * scale, size=(seeds, n))
+    x = lo + (hi - lo) * _unit_starts(seeds, n)
     fx = np.empty((seeds, len(C)))
     # the active starts, their points, their G and its Gram matrix G G^T; x
     # and fx take a start's point and residuals when it stops
@@ -425,7 +449,7 @@ def solve_numeric(
         moved = gram_new[:, 0, 0] < norm2
         if not moved.all():  # the starts whose full step failed try its halvings
             back = np.flatnonzero(~moved)
-            x_try = x_act[back, None, :] - halvings[None, :, None] * step[back, None, :]
+            x_try = x_act[back, None, :] - _DAMPINGS[None, :, None] * step[back, None, :]
             f_try = fval(x_try)
             lower = np.einsum("ibh,ibh->bh", f_try, f_try) < norm2[back, None]
             x_new[back] = x_try[np.arange(back.size), lower.argmax(axis=1)]
@@ -437,8 +461,9 @@ def solve_numeric(
                 active, x_new, G_new, gram_new = (v[moved] for v in (active, x_new, G_new, gram_new))
         x_act, G, gram = x_new, G_new, gram_new
     x[active], fx[active] = x_act, G[:, 0]
-    found = x[np.linalg.norm(fx, axis=1) < NEWTON_RESIDUAL_ACCEPT]
-    near = np.linalg.norm(found[:, None, :] - found[None, :, :], axis=2) < ROOT_DEDUP_TOL
+    found = x[np.sqrt((fx * fx).sum(axis=1)) < NEWTON_RESIDUAL_ACCEPT]
+    gap = found[:, None] - found[None]
+    near = np.sqrt((gap * gap).sum(axis=2)) < ROOT_DEDUP_TOL
     roots = found[~np.tril(near, -1).any(axis=1)]
     order = sorted(range(len(roots)), key=np.round(roots, 9).tolist().__getitem__)
     return [roots[i] * unit for i in order]

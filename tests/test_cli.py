@@ -276,6 +276,38 @@ class TestSolve:
         assert "inf" not in out and "nan" not in out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_an_overflowing_start_range_is_a_numerical_failure(self, capsys):
+        # the closed forms are finite (D = -5e307), but the start range
+        # [-3|D|, 3|D|] is 3e308 wide
+        code, out, err = run_cli(capsys, "solve", "-a=1", "-b=1e-308", "-d=1", "-m=0.5", "--numeric")
+        assert code == 4
+        assert "root " not in out
+        assert err.startswith("error: ") and "start range" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("solve_numeric_defaults.txt", []),
+        ("solve_numeric_negative.txt", ["-a=0.25", "-b=-1", "-d=-1.25", "-m=0.1"]),
+    ])
+    def test_numeric_output_matches_golden(self, capsys, golden, argv):
+        # the family lines byte for byte; the roots by count, order and tag,
+        # and by value to 1e-12 of their largest component, their last
+        # digits being outside the contract
+        code, out, _ = run_cli(capsys, "solve", "--numeric", *argv)
+        assert code == 0
+        got, want = out.splitlines(), (GOLDEN / golden).read_text().splitlines()
+        assert len(got) == len(want)
+        for line, expected in zip(got, want):
+            if not expected.startswith("root "):
+                assert line == expected
+                continue
+            values, tag = line.split()[1:5], line.split()[5]
+            expected_values, expected_tag = expected.split()[1:5], expected.split()[5]
+            assert tag == expected_tag
+            assert [v.split("=")[0] for v in values] == [v.split("=")[0] for v in expected_values]
+            root = np.array([float(v.split("=")[1]) for v in values])
+            expected_root = np.array([float(v.split("=")[1]) for v in expected_values])
+            assert np.max(np.abs(root - expected_root)) <= 1e-12 * np.max(np.abs(expected_root))
+
     def test_numeric_roots_are_tagged(self, capsys):
         code, out, _ = run_cli(
             capsys, "solve", "-a", "0", "-b", "1", "-d", "1", "-m", "0.5", "--numeric"

@@ -341,6 +341,32 @@ class TestClock:
         exact = waves.evaluate(fam, cfg.grid(), 1.5, law)
         assert np.max(np.abs(r.fields()[-1] - exact)) < 1e-10 * np.max(np.abs(exact))
 
+    @pytest.mark.parametrize("spec,distinct_spans", [("unit", 2), ("poly:1.2,0.25,0.03", 49)])
+    def test_a_controlled_run_at_the_snapshot_floor_plans_its_steps_once(
+        self, cnoidal, monkeypatch, spec, distinct_spans
+    ):
+        # T = 0.05 makes each of the 50 snapshot intervals shorter than the
+        # step error control allows: after two steps that find the step
+        # size, one stacked build serves every later interval.  Built one
+        # step size at a time, the spans, which differ in their last bits
+        # even for unit f, cost 51 builds, and the run is bit for bit the same
+        p, fam = cnoidal
+        f = waves.parse_coefficient(spec)
+        law = None if spec == "unit" else waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
+        cfg = SimConfig(p=p, N=64, T=0.05, f=f, t0=1.0, adaptive=True)
+        uhat0 = init_from_family(cfg, fam, law)
+        builds = []
+        etd = sim._etd_coefficients
+        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dt: builds.append(np.shape(dt)) or etd(lin, dt))
+        planned = run(cfg, uhat0)
+        assert planned.steps == 52
+        assert builds == [(), (), (distinct_spans, 1)]
+        builds.clear()
+        monkeypatch.setattr(sim._Stepper, "plan", lambda self, spans: None)
+        unplanned = run(cfg, uhat0)
+        assert len(builds) == 51
+        assert np.array_equal(planned.uhat, unplanned.uhat)
+
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_negative_f_runs_the_unit_equation_backward(self, cnoidal, adaptive):
         # f = -1 gives tau(t) = -t: the wave at t = T is the unit-f wave at -T

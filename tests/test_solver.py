@@ -413,21 +413,18 @@ class TestSolveNumeric:
 
     def test_a_singular_normal_matrix_takes_the_pseudo_inverse_step(self, system, monkeypatch):
         # a start at A = 0 has dF/dA = 0, so its J^T J is exactly singular and
-        # the stacked inverse raises: that start alone takes the pinv step
-        draw, column = np.random.default_rng, system.unknowns.index("A")
+        # the stacked inverse raises: that start alone takes the pinv step.
+        # u = 1/2 is the middle of the start range, A = 0 exactly
+        unit_starts, column = solver._unit_starts, system.unknowns.index("A")
 
-        class Starts:
-            def __init__(self, seed):
-                self.rng = draw(seed)
-
-            def uniform(self, *args, **kwargs):
-                x = self.rng.uniform(*args, **kwargs)
-                x[5, column] = 0.0
-                return x
+        def starts(seeds, n):
+            u = unit_starts(seeds, n).copy()
+            u[5, column] = 0.5
+            return u
 
         pinvs = []
         pinv = np.linalg.pinv
-        monkeypatch.setattr(np.random, "default_rng", Starts)
+        monkeypatch.setattr(solver, "_unit_starts", starts)
         monkeypatch.setattr(np.linalg, "pinv", lambda J, *a, **k: pinvs.append(J.shape) or pinv(J, *a, **k))
         p = PdeParams(0.5, 1.0, 1.0, 0.6)
         roots = solve_numeric(system, p, seeds=32)
@@ -510,7 +507,7 @@ class TestSolveNumeric:
         for _ in range(5):
             p = rational_params(rng)
             names, C, E = solver._bind(system, p)
-            fval, fjac = solver._polynomial_map(C, E)
+            fval, fjac = solver._polynomial_map(system, C)
             x = rng.uniform(-2.0, 2.0, size=(6, len(names)))
             G = fjac(x)
             assert G.shape == (6, len(names) + 1, len(system))
@@ -522,6 +519,25 @@ class TestSolveNumeric:
                 e = h * np.eye(len(names))[k]
                 fd = (fval(x + e) - fval(x - e)).T / (2 * h)
                 np.testing.assert_allclose(G[:, 1 + k], fd, rtol=1e-7, atol=1e-7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=st.integers(16, 64), n=st.integers(1, 6), scale=st.floats(1.0, 1e150))
+    def test_unit_starts_stretch_to_the_generator_s_uniform_draws(self, seeds, n, scale):
+        lo, hi = -3.0 * scale, 3.0 * scale
+        want = np.random.default_rng(0).uniform(lo, hi, size=(seeds, n))
+        assert np.array_equal(lo + (hi - lo) * solver._unit_starts(seeds, n), want)
+
+    def test_the_shared_unit_starts_are_read_only(self):
+        u = solver._unit_starts(32, 4)
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.5
+        assert solver._unit_starts(32, 4) is u
+
+    def test_the_layout_is_built_once_per_system(self, system):
+        solver._layout.cache_clear()
+        for p in (PdeParams(0.5, 1.0, 1.0, 0.6), PdeParams(-0.25, -1.5, -0.75, 0.3)):
+            assert len(solve_numeric(system, p, seeds=32)) == 4
+        assert solver._layout.cache_info().misses == 1
 
     def test_deterministic(self, system):
         p = PdeParams(0.5, 1.0, 1.0, 0.6)
