@@ -341,7 +341,7 @@ def _polynomial_map(system: AlgebraicSystem, C: np.ndarray):
         powers[0] = 1.0
         for k in range(1, top + 1):
             powers[k] = powers[k - 1] * xt
-        return np.multiply.reduce(powers.reshape((top + 1) * n, -1)[rows], axis=0)
+        return np.multiply.reduce(np.take(powers.reshape((top + 1) * n, -1), rows, axis=0), axis=0)
 
     def fval(x: np.ndarray) -> np.ndarray:
         return (C @ monomials(x.reshape(-1, n).T, f_rows)).reshape((len(C),) + x.shape[:-1])
