@@ -86,7 +86,8 @@ def _positive_int(text: str) -> int:
 def _config_flags(path: str) -> list[str]:
     """The config file at path as command-line flags, one "flag=value" token
     per key: a, b, d and m are short options (-a), every other key a long one
-    (--N, --T and --f too); "timedep = true" is the bare --timedep."""
+    (--N, --T and --f too); "timedep = true" is the bare --timedep, "timedep =
+    false" no flag, in any case, and any other timedep value is refused."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -106,6 +107,8 @@ def _config_flags(path: str) -> list[str]:
             flags.append("%s=%s" % ("-" + key if key in ("a", "b", "d", "m") else "--" + key, val))
         elif val.lower() == "true":
             flags.append("--timedep")
+        elif val.lower() != "false":
+            raise ValueError("bad config value timedep = %r (expected true or false)" % (val,))
     return flags
 
 
@@ -209,6 +212,16 @@ def _velocity_law_check(args, p: PdeParams) -> tuple[int, list[str]]:
     ]
 
 
+def _zero_check(passed: str, failed: str, system, residuals) -> int:
+    """Print passed when every residual of system's equations is the zero
+    polynomial, else failed and each nonzero equation; the failure count."""
+    bad = [(mono, r) for mono, r in zip(system.monomials, residuals) if not r.is_zero]
+    print(failed if bad else passed)
+    for mono, r in bad:
+        print("  equation[%s]: %s" % (mono.text(), r.text()))
+    return int(bool(bad))
+
+
 def cmd_verify(args) -> int:
     params = _Params(args.a, args.b, args.d, args.m)
     # checked first, so that an f the check cannot use is refused before anything is printed
@@ -223,30 +236,17 @@ def cmd_verify(args) -> int:
     generic = back_substitute_generic(system, perturb)
     # symbolic identity: the closed forms annihilate the system for any a,b,d,m
     for sa, sb in SIGN_PAIRS:
-        residuals = specialize(generic, sa, sb)
-        bad = [(mono, r) for mono, r in zip(system.monomials, residuals) if not r.is_zero]
         tag = "signs(%+d,%+d)" % (sa, sb)
-        if bad:
-            failures += 1
-            print("FAIL symbolic %s: nonzero residuals:" % (tag,))
-            for mono, r in bad:
-                print("  equation[%s]: %s" % (mono.text(), r.text()))
-        else:
-            print("PASS symbolic %s: all equations reduce to the zero polynomial" % (tag,))
+        failures += _zero_check("PASS symbolic %s: all equations reduce to the zero polynomial" % (tag,),
+                                "FAIL symbolic %s: nonzero residuals:" % (tag,),
+                                system, specialize(generic, sa, sb))
 
     fams = solve_closed_form(params.floats)
     pde_residuals = [] if perturb else sim.spectral_residuals(fams, N=256)
     for i, fam in enumerate(fams):
         label = "family %s sign_A=%+d sign_B=%+d" % (fam.class_label, fam.sign_A, fam.sign_B)
-        residuals = specialize(generic, fam.sign_A, fam.sign_B, params.exact)
-        bad = [(mono, r) for mono, r in zip(system.monomials, residuals) if not r.is_zero]
-        if bad:
-            failures += 1
-            print("FAIL exact %s:" % (label,))
-            for mono, r in bad:
-                print("  equation[%s]: %s" % (mono.text(), r.text()))
-        else:
-            print("PASS exact %s" % (label,))
+        failures += _zero_check("PASS exact %s" % (label,), "FAIL exact %s:" % (label,),
+                                system, specialize(generic, fam.sign_A, fam.sign_B, params.exact))
         if not perturb:
             res = pde_residuals[i]
             if not res <= 1e-8:  # a NaN fails

@@ -127,14 +127,16 @@ _ETD_SERIES = np.array([[2.0 ** -(j + 1) / factorial(j + 1), (j + 1) ** 2 / fact
                          (j + 1) / factorial(j + 3), (1 - j) / factorial(j + 3)] for j in range(20)])
 
 
-def _etd_coefficients(lin: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
-    """ETDRK4 factors of a step dt for the diagonal linear operator lin
-    (Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005) 1214).  With z = dt*lin:
+def _etd_coefficients(lin: np.ndarray, dts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """ETDRK4 factors of the steps dts, a column of step sizes (k, 1), for
+    the diagonal linear operator lin, one row per step (Kassam & Trefethen,
+    SIAM J. Sci. Comput. 26 (2005) 1214).  With z = dt*lin:
     E_half = e^(z/2), E = e^z, Q = dt*(e^(z/2) - 1)/z,
     f1 = dt*(-4 - z + e^z*(4 - 3z + z^2))/z^3, f2 = dt*(2 + z + e^z*(z - 2))/z^3,
     f3 = dt*(-4 - 3z - z^2 + e^z*(4 - z))/z^3; where |z| < 1 these closed forms
-    cancel, and 20 terms of their Taylor series (_ETD_SERIES) reach round-off."""
-    z = dt * lin
+    cancel, and 20 terms of their Taylor series (_ETD_SERIES) reach round-off.
+    Each row is bit for bit that of a build of its step alone."""
+    z = dts * lin
     E_half = np.exp(z / 2.0)
     E = E_half * E_half
     small = np.abs(z) < 1.0
@@ -147,7 +149,7 @@ def _etd_coefficients(lin: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
         (-4.0 - 3.0 * w - w2 + E * (4.0 - w)) / w3,
     ])
     coef[:, small] = (np.vander(z[small], len(_ETD_SERIES), increasing=True) @ _ETD_SERIES).T
-    return (E_half, E, *(dt * coef))
+    return (E_half, E, *(dts * coef))
 
 
 class _Stepper:
@@ -168,23 +170,15 @@ class _Stepper:
         self.pad = np.full(M + 1, 2.0)
         self.pad[M] = 1.0
         self.dx = -0.5j * self.k
-        self._ops = (None,)  # (dt, *_etd_coefficients(lin, dt)) of the last step
-        self._planned: dict[float, tuple] = {}  # step size -> its coefficients, from plan
+        self.planned: dict[float, tuple] = {}  # step size -> its ETDRK4 coefficients (plan)
 
-    def plan(self, spans: np.ndarray) -> None:
+    def plan(self, spans: Sequence[float] | np.ndarray) -> None:
         """Build the ETDRK4 coefficients of every distinct step size in spans
-        in one stacked call; _operators takes them from here, bit for bit
-        the coefficients it would build one step size at a time."""
+        in one stacked call.  They replace the previous plan's, so the store
+        holds one plan; embedded_step takes a step's coefficients from it."""
         spans = np.unique(spans)
-        coefs = _etd_coefficients(self.lin[None, :], spans[:, None])
-        self._planned = {dt: tuple(c[i] for c in coefs) for i, dt in enumerate(spans.tolist())}
-
-    def _operators(self, dt: float) -> tuple:
-        """E_half, E, Q, f1, f2 and f3 of a step of dt."""
-        if self._ops[0] != dt:
-            planned = self._planned.get(dt)
-            self._ops = (dt, *(planned or _etd_coefficients(self.lin, dt)))
-        return self._ops[1:]
+        coefs = _etd_coefficients(self.lin, spans[:, None])
+        self.planned = {dt: tuple(c[i] for c in coefs) for i, dt in enumerate(spans.tolist())}
 
     def nonlinear(self, vh: np.ndarray) -> np.ndarray:
         """-ik * RFFT(a*u^2/2 + b*u^3/3), dealiased by zero padding.
@@ -208,9 +202,9 @@ class _Stepper:
         companion out3 takes g5 in place of the last stage's flux g4, so
         out - out3 = f3*(g4 - g5) (-> (dt/6)(g4 - g5) as dt*L -> 0).  A step
         costs four calls of `nonlinear`; dt < 0 steps backward.  A
-        non-finite result gives err = inf.
+        non-finite result gives err = inf.  dt must be planned (plan).
         """
-        E_half, E, Q, f1, f2, f3 = self._operators(dt)
+        E_half, E, Q, f1, f2, f3 = self.planned[dt]
         E_half_vh = E_half * vh
         u2 = E_half_vh + Q * g1
         g2 = self.nonlinear(u2)
@@ -325,14 +319,15 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     estimate per unit tau is at most RTOL, proposing the next by the
     third-order rule dt * SAFETY * (RTOL / estimate)^(1/3), capped by the
     advective CFL bound; an interval's plan, and so the ETDRK4 coefficients,
-    change only when the proposal no longer fits it.  The first step that
-    spans a whole interval (the snapshot floor) builds the coefficients of
-    the spans of that interval and all later ones in one call
-    (_Stepper.plan).  A step below MIN_STEP
-    times the run's span raises StabilityError, and a run whose CFL bound is
-    below that floor is refused before its first step.  A step that gives
-    non-finite values raises SimulationBlowUp in either kind of run.  A
-    negative f runs tau backward.
+    change only when the proposal no longer fits it.  The coefficients come
+    from _Stepper.plan: a fixed-step run plans all its steps before the
+    first; a controlled run plans each new step size that is not planned
+    yet, and at the snapshot floor (a step that spans a whole interval from
+    its start) the spans of that interval and all later ones with it.  A
+    step below MIN_STEP times the run's span raises StabilityError, and a run
+    whose CFL bound is below that floor is refused before its first step.  A
+    step that gives non-finite values raises SimulationBlowUp in either kind
+    of run.  A negative f runs tau backward.
     """
     controlled = cfg.adaptive
     n_int = max(1, snapshots - 1)
@@ -365,6 +360,8 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
             raise StabilityError("advective CFL %.3g exceeds RK4 bound %.3g; reduce dt" % (cfl, RK4_IMAG_STABILITY))
         tol = ESTIMATE_LIMIT
     stepper = _Stepper(cfg)
+    if not controlled:
+        stepper.plan(hs)
     M = cfg.N // 2
     uhat = np.empty((len(ts), cfg.N), dtype=complex)
     uhat[0] = uhat0
@@ -372,7 +369,6 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
     g = stepper.nonlinear(vh)
     steps = rejected = 0
     dt_max = 0.0
-    planned = False
 
     def t_at(j: int, s: float) -> float:
         """The time of pseudo-time s in snapshot interval j, interpolated
@@ -386,11 +382,11 @@ def run(cfg: SimConfig, uhat0: np.ndarray, snapshots: int = 51) -> Run:
                 need = int(np.ceil(abs(taus[j] - tau) / dt))
                 if need != left:
                     left, h = need, (taus[j] - tau) / need
-                    if need == 1 and tau == taus[j - 1] and not planned:
-                        # at the snapshot floor: each interval from here on is
+                    if h not in stepper.planned:
+                        # at the snapshot floor each interval from here on is
                         # likely one step of its whole span
-                        stepper.plan(np.diff(tau_array[j - 1 :]))
-                        planned = True
+                        floor = need == 1 and tau == taus[j - 1]
+                        stepper.plan(np.diff(tau_array[j - 1 :]) if floor else [h])
             out, g5, err = stepper.embedded_step(vh, h, g)
             if not np.isfinite(err):
                 raise _blow_up(t_at(j, tau + h))

@@ -229,14 +229,21 @@ def specialize(
 
 
 @functools.cache
-def _structure(system: AlgebraicSystem) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The walk over the terms of system that binding a, b, d, m needs.
+def _structure(system: AlgebraicSystem) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                                 int, np.ndarray]:
+    """What binding a, b, d, m and evaluating F and G = [F; J^T] of system
+    need, built once per system.
 
     names are the unknowns, and row j of the exponent matrix E holds their
     powers in the j-th monomial of the unknowns that the system uses.  Term k
     of the equations adds coef[k] * a**P[k, 0] * b**P[k, 1] * d**P[k, 2] *
     m**P[k, 3] to entry flat[k] of the (equations, monomials) coefficient
-    matrix."""
+    matrix.  top is the highest power of an unknown.  The table of the
+    powers x**0 .. x**top of the points is laid out (power, unknown, point)
+    and read by rows: the factor of unknown k to the power e is row e*n + k.
+    rows[k, r, j] is the row of unknown k's factor in the j-th monomial of
+    row r of the stacked exponents [E; E - e_1; ...; E - e_n] of G (clipped
+    at 0, where C * E[:, k] is 0); F's are rows[:, 0]."""
     names = tuple(s for s in system.unknowns if s not in PARAMETERS)
     columns: dict[tuple[int, ...], int] = {}
     terms = []
@@ -250,11 +257,14 @@ def _structure(system: AlgebraicSystem) -> tuple[tuple[str, ...], np.ndarray, np
             exponents = tuple(powers.values())
             j = columns.setdefault(exponents[len(PARAMETERS) :], len(columns))
             terms.append((i, j, float(coef), exponents[: len(PARAMETERS)]))
-    E = np.array(list(columns), dtype=int).reshape(len(columns), len(names))
+    n = len(names)
+    E = np.array(list(columns), dtype=int).reshape(len(columns), n)
     flat = np.array([i * len(columns) + j for i, j, _, _ in terms], dtype=int)
     coef = np.array([c for _, _, c, _ in terms])
     P = np.array([powers for _, _, _, powers in terms], dtype=int).reshape(len(terms), len(PARAMETERS))
-    return names, E, flat, coef, P
+    stacked_E = np.concatenate([E[None], np.maximum(E[None] - np.eye(n, dtype=int)[:, None, :], 0)])
+    rows = stacked_E.transpose(2, 0, 1) * n + np.arange(n)[:, None, None]
+    return names, E, flat, coef, P, int(E.max(initial=0)), rows
 
 
 def _bind(system: AlgebraicSystem, p: PdeParams) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
@@ -262,7 +272,7 @@ def _bind(system: AlgebraicSystem, p: PdeParams) -> tuple[tuple[str, ...], np.nd
 
     C[i, j] is the float coefficient in equation i of the j-th monomial of
     the unknowns (see _structure)."""
-    names, E, flat, coef, P = _structure(system)
+    names, E, flat, coef, P, *_ = _structure(system)
     value = coef
     for k, number in enumerate(p.as_floats()):
         value = value * number ** P[:, k]
@@ -297,30 +307,10 @@ def _normal_inverse(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inv, size * NORMAL_MIN_RATIO < 1.0
 
 
-@functools.cache
-def _layout(system: AlgebraicSystem) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """What evaluating F and G = [F; J^T] of system needs besides C.
-
-    n is the number of unknowns and top their highest power.  The table of
-    the powers x**0 .. x**top of the points is laid out (power, unknown,
-    point) and read by rows: the factor of unknown k to the power e is row
-    e*n + k.  f_rows[k, j] is the row of unknown k's factor in the j-th
-    monomial of F (E[j, k]), and g_rows[k, r, j] that in the j-th monomial
-    of row r of the stacked exponents [E; E - e_1; ...; E - e_n] of G
-    (clipped at 0, where C * E[:, k] is 0)."""
-    _, E, *_ = _structure(system)
-    n = E.shape[1]
-    stacked_E = np.concatenate([E[None], np.maximum(E[None] - np.eye(n, dtype=int)[:, None, :], 0)])
-    unknown = np.arange(n)
-    f_rows = E.T * n + unknown[:, None]
-    g_rows = stacked_E.transpose(2, 0, 1) * n + unknown[:, None, None]
-    return n, int(E.max(initial=0)), f_rows, g_rows
-
-
 def _polynomial_map(system: AlgebraicSystem, C: np.ndarray):
     """fval and fjac of F(x) = C @ x**E, E being the exponent matrix of
-    system (_structure), the monomials gathered from one table of the powers
-    x**0 .. x**top (_layout).
+    system, the monomials gathered from one table of the powers x**0 .. x**top
+    (_structure).
 
     fval(x) is F at every point of a stack x[..., n], equations first:
     fval(x)[i, ...] is F_i.  fjac(x) is G = [F; J^T] at every row of a
@@ -328,26 +318,26 @@ def _polynomial_map(system: AlgebraicSystem, C: np.ndarray):
     (C * E[:, k]) @ x[s]**(E - e_k).  It takes all n + 1 rows from the
     stacked exponents [E; E - e_1; ...; E - e_n] and coefficients
     [C; C * E[:, 1]; ...; C * E[:, n]]."""
-    _, E, *_ = _structure(system)
-    n, top, f_rows, g_rows = _layout(system)
+    names, E, _, _, _, top, rows = _structure(system)
+    n = len(names)
     stacked_C = np.concatenate([C[None], C[None] * E.T[:, None, :]])
 
-    def monomials(xt: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The monomials of rows at every column of the (n, points) array
-        xt.  With the factor axis leading and the points trailing, the
-        product over the factors and the coefficient matmul each run on
-        whole rows."""
+    def monomials(xt: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """The monomials whose factors are the table rows factors, at every
+        column of the (n, points) array xt.  With the factor axis leading and
+        the points trailing, the product over the factors and the coefficient
+        matmul each run on whole rows."""
         powers = np.empty((top + 1, n, xt.shape[1]))
         powers[0] = 1.0
         for k in range(1, top + 1):
             powers[k] = powers[k - 1] * xt
-        return np.multiply.reduce(np.take(powers.reshape((top + 1) * n, -1), rows, axis=0), axis=0)
+        return np.multiply.reduce(np.take(powers.reshape((top + 1) * n, -1), factors, axis=0), axis=0)
 
     def fval(x: np.ndarray) -> np.ndarray:
-        return (C @ monomials(x.reshape(-1, n).T, f_rows)).reshape((len(C),) + x.shape[:-1])
+        return (C @ monomials(x.reshape(-1, n).T, rows[:, 0])).reshape((len(C),) + x.shape[:-1])
 
     def fjac(x: np.ndarray) -> np.ndarray:
-        return (stacked_C @ monomials(x.T, g_rows)).transpose(2, 0, 1)
+        return (stacked_C @ monomials(x.T, rows)).transpose(2, 0, 1)
 
     return fval, fjac
 

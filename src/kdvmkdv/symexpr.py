@@ -244,18 +244,6 @@ class ParamPoly:
                 res[mono2] = res.get(mono2, 0) + coef * c2
         return ParamPoly(res)
 
-    def eval(self, bindings: dict[str, float]) -> float:
-        """Numeric value of the polynomial under a full symbol binding."""
-        total = 0.0
-        for mono, coef in self.terms.items():
-            val = float(coef)
-            for s, e in mono:
-                if s not in bindings:
-                    raise UnboundSymbolError("symbol %r is unbound" % (s,))
-                val *= bindings[s] ** e
-            total += val
-        return total
-
     # -- canonical normalization --------------------------------------------
 
     def leading(self) -> tuple[Mono, int | Fraction]:

@@ -1,8 +1,8 @@
 """Numeric and structural oracles for the symbolic algebra, used only by tests.
 
-They check `kdvmkdv.symexpr` from outside: evaluating an expression through
-the Jacobi functions, canonicalizing a raw sum of sn/cn/dn terms, the
-conditioning of a basis, and the symbols of a polynomial.
+They check `kdvmkdv.symexpr` from outside: evaluating a polynomial under a
+numeric binding and through the Jacobi functions, canonicalizing a raw sum of
+sn/cn/dn terms, the conditioning of a basis, and the symbols of a polynomial.
 """
 
 from __future__ import annotations
@@ -13,7 +13,20 @@ from typing import Iterable
 import numpy as np
 
 from kdvmkdv import elliptic
-from kdvmkdv.symexpr import EllipticMonomial, ParamPoly, canonical
+from kdvmkdv.symexpr import EllipticMonomial, ParamPoly, UnboundSymbolError, canonical
+
+
+def eval_poly(poly: ParamPoly, bindings: dict[str, float]) -> float:
+    """Numeric value of poly under a full symbol binding, term by term."""
+    total = 0.0
+    for mono, coef in poly.terms.items():
+        val = float(coef)
+        for s, e in mono:
+            if s not in bindings:
+                raise UnboundSymbolError("symbol %r is unbound" % (s,))
+            val *= bindings[s] ** e
+        total += val
+    return total
 
 
 def eval_numeric(expr: ParamPoly, bindings: dict[str, float], xi, m: float):
@@ -29,7 +42,7 @@ def eval_numeric(expr: ParamPoly, bindings: dict[str, float], xi, m: float):
     else:
         bound["m"] = m
     bound["sn"], bound["cn"], bound["dn"] = elliptic.jacobi(xi, m)
-    return expr.eval(bound)
+    return eval_poly(expr, bound)
 
 
 def reduce(raw_terms: Iterable[tuple[int, int, int, ParamPoly | Fraction | int]]) -> ParamPoly:

@@ -25,7 +25,7 @@ from kdvmkdv.ansatz import (
 )
 from kdvmkdv.symexpr import EllipticMonomial, ParamPoly, basis_coefficients
 
-from symexpr_oracles import eval_numeric, symbols
+from symexpr_oracles import eval_numeric, eval_poly, symbols
 
 P = ParamPoly
 a, b, d, m, A, B, D, v, h, w = (P.symbol(s) for s in "a b d m A B D v h w".split())
@@ -269,7 +269,7 @@ class TestExactVanishing:
             )
             for fam in solve_closed_form(p):
                 values = dict(zip("abdm", p.as_floats()), A=fam.A, B=fam.B, D=fam.D, v=fam.v)
-                assert max(abs(eq.eval(values)) for eq in system.equations) < 1e-12
+                assert max(abs(eval_poly(eq, values)) for eq in system.equations) < 1e-12
 
 
 class TestPdeParams:

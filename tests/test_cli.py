@@ -932,6 +932,22 @@ class TestConfigFile:
         assert code == 0
         assert "PASS velocity-constraint:" in out and "REPORT velocity-paper-form:" in out
 
+    @pytest.mark.parametrize("value,timedep", [("FALSE", False), ("true", True)])
+    def test_timedep_in_the_file_is_true_or_false_in_any_case(self, capsys, tmp_path, value, timedep):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timedep = %s\n" % (value,))
+        want = run_cli(capsys, "verify", *(["--timedep"] if timedep else []))
+        assert run_cli(capsys, "verify", "--config", str(cfg)) == want
+
+    @pytest.mark.parametrize("value", ["yes", "1", "0", "no", ""])
+    def test_any_other_timedep_value_in_the_file_is_a_usage_error(self, capsys, tmp_path, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timedep = %s\n" % (value,))
+        code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "timedep" in err and repr(value) in err
+
     def test_bad_value_in_the_file_is_reported_as_the_flag_would_be(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("T = abc\n")

@@ -185,7 +185,7 @@ class TestCoefficients:
         # both sides of |z| = 1, where the closed forms take over from the series
         mpmath = pytest.importorskip("mpmath")
         lin = np.array([0, 1e-8j, 0.5j, 0.999j, 1.001j, 50j, 2e5j]) / dt
-        got = sim._etd_coefficients(lin, dt)
+        got = [c[0] for c in sim._etd_coefficients(lin, np.array([[dt]]))]
         with mpmath.workdps(60):
             h = mpmath.mpf(dt)
             for i, z in enumerate((dt * lin).tolist()):  # the z the factors are built from
@@ -202,6 +202,20 @@ class TestCoefficients:
                     want = complex(want)
                     assert abs(c[i] - want) <= 1e-13 * abs(want)
 
+    def test_each_row_of_a_stacked_build_is_the_build_of_its_step_alone(self, cnoidal):
+        # the steps put the modes of N = 128 on both sides of |z| = 1, where
+        # the series and the closed forms meet, forward and backward
+        p, _ = cnoidal
+        lin = sim._Stepper(SimConfig(p=p, N=128)).lin
+        dts = np.array([-2e-2, -1e-3, -1e-4, 3e-5, 3e-4, 1e-3, 2e-2, 0.5])
+        small = np.abs(dts[:, None] * lin) < 1.0
+        assert small.any(axis=1).all() and not small.all(axis=1).any()
+        stacked = sim._etd_coefficients(lin, dts[:, None])
+        for i in range(len(dts)):
+            alone = sim._etd_coefficients(lin, dts[i : i + 1, None])
+            for c, c_alone in zip(stacked, alone):
+                assert np.array_equal(c[i], c_alone[0])
+
 
 class TestErrorControl:
     def test_error_estimate_is_fourth_order_in_the_step(self, cnoidal):
@@ -210,6 +224,7 @@ class TestErrorControl:
         p, fam = cnoidal
         cfg = SimConfig(p=p, N=128)
         stepper = sim._Stepper(cfg)
+        stepper.plan([2e-3, 1e-3])
         for scale in (1.0, 1.01):
             vh = scale * init_from_family(cfg, fam)[: cfg.N // 2 + 1]
             g1 = stepper.nonlinear(vh)
@@ -327,17 +342,18 @@ class TestClock:
         assert with_f.steps == unit.steps
         assert np.max(np.abs(with_f.uhat[-1] - unit.uhat[-1])) < 1e-12 * np.max(np.abs(unit.uhat[-1]))
 
-    def test_fixed_run_with_f_builds_its_step_once_per_interval(self, cnoidal, monkeypatch):
-        # 500 steps in 50 snapshot intervals: each interval is 10 equal tau-steps
+    def test_fixed_run_with_f_plans_its_steps_once(self, cnoidal, monkeypatch):
+        # 500 steps in 50 snapshot intervals: each interval is 10 equal
+        # tau-steps, and one stacked build before the first step serves them
         p, fam = cnoidal
         f = waves.parse_coefficient("poly:1,0.2")
         law = waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
         cfg = SimConfig(p=p, N=128, dt=1e-3, T=0.5, f=f, t0=1.0)
         builds = []
         etd = sim._etd_coefficients
-        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dt: builds.append(dt) or etd(lin, dt))
+        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dts: builds.append(dts.shape) or etd(lin, dts))
         r = sim.simulate(cfg, fam, law).run
-        assert r.steps == 500 and len(builds) == 50
+        assert r.steps == 500 and builds == [(50, 1)]
         exact = waves.evaluate(fam, cfg.grid(), 1.5, law)
         assert np.max(np.abs(r.fields()[-1] - exact)) < 1e-10 * np.max(np.abs(exact))
 
@@ -346,10 +362,9 @@ class TestClock:
         self, cnoidal, monkeypatch, spec, distinct_spans
     ):
         # T = 0.05 makes each of the 50 snapshot intervals shorter than the
-        # step error control allows: after two steps that find the step
-        # size, one stacked build serves every later interval.  Built one
-        # step size at a time, the spans, which differ in their last bits
-        # even for unit f, cost 51 builds, and the run is bit for bit the same
+        # step error control allows: two steps of one size each find the step
+        # size, then one stacked build of the distinct spans, which differ in
+        # their last bits even for unit f, serves every later interval
         p, fam = cnoidal
         f = waves.parse_coefficient(spec)
         law = None if spec == "unit" else waves.VelocityLaw.time_dependent(fam.v, f, v0=fam.v)
@@ -357,15 +372,9 @@ class TestClock:
         uhat0 = init_from_family(cfg, fam, law)
         builds = []
         etd = sim._etd_coefficients
-        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dt: builds.append(np.shape(dt)) or etd(lin, dt))
-        planned = run(cfg, uhat0)
-        assert planned.steps == 52
-        assert builds == [(), (), (distinct_spans, 1)]
-        builds.clear()
-        monkeypatch.setattr(sim._Stepper, "plan", lambda self, spans: None)
-        unplanned = run(cfg, uhat0)
-        assert len(builds) == 51
-        assert np.array_equal(planned.uhat, unplanned.uhat)
+        monkeypatch.setattr(sim, "_etd_coefficients", lambda lin, dts: builds.append(dts.shape) or etd(lin, dts))
+        assert run(cfg, uhat0).steps == 52
+        assert builds == [(1, 1), (1, 1), (distinct_spans, 1)]
 
     @pytest.mark.parametrize("adaptive", [False, True])
     def test_negative_f_runs_the_unit_equation_backward(self, cnoidal, adaptive):

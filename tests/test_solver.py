@@ -33,6 +33,8 @@ from kdvmkdv.solver import (
 )
 from kdvmkdv.symexpr import ParamPoly, _partial
 
+from symexpr_oracles import eval_poly
+
 
 @pytest.fixture(scope="module")
 def system():
@@ -58,7 +60,7 @@ def residuals_numeric(family: SolutionFamily, system) -> list[float]:
     oracle for the exact back-substitution, independent of its reduction."""
     a, b, d, m = family.params.as_floats()
     bindings = {"a": a, "b": b, "d": d, "m": m, "A": family.A, "B": family.B, "D": family.D, "v": family.v}
-    return [eq.eval(bindings) for eq in system.equations]
+    return [eval_poly(eq, bindings) for eq in system.equations]
 
 
 def per_sign_residuals(system, sign_A, sign_B, perturb, params):
@@ -89,10 +91,10 @@ def newton_per_start(system, p, seeds, rng_seed=0):
     grads = [[_partial(eq, s) for s in names] for eq in system.equations]
 
     def fval(x):
-        return np.array([eq.eval({**base, **dict(zip(names, x))}) for eq in system.equations])
+        return np.array([eval_poly(eq, {**base, **dict(zip(names, x))}) for eq in system.equations])
 
     def jval(x):
-        return np.array([[g.eval({**base, **dict(zip(names, x))}) for g in row] for row in grads])
+        return np.array([[eval_poly(g, {**base, **dict(zip(names, x))}) for g in row] for row in grads])
 
     scale = max(1.0, math.sqrt(abs(1.5 * d / b)), abs(a / (2 * b)))
     rng = np.random.default_rng(rng_seed)
@@ -248,7 +250,7 @@ class TestBackSubstituteExact:
         for exact in (params, None):
             got = specialize(back_substitute_generic(system, {name: delta}), *signs, exact)
             for r, w in zip(got, want):
-                assert r.eval(roots) == pytest.approx(w, rel=1e-9, abs=1e-9)
+                assert eval_poly(r, roots) == pytest.approx(w, rel=1e-9, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -512,7 +514,7 @@ class TestSolveNumeric:
             G = fjac(x)
             assert G.shape == (6, len(names) + 1, len(system))
             base = dict(zip(PARAMETERS, p.as_floats()))
-            direct = [[eq.eval({**base, **dict(zip(names, point))}) for eq in system.equations] for point in x]
+            direct = [[eval_poly(eq, {**base, **dict(zip(names, point))}) for eq in system.equations] for point in x]
             np.testing.assert_allclose(G[:, 0], direct, rtol=1e-13, atol=1e-13)
             np.testing.assert_allclose(fval(x).T, direct, rtol=1e-13, atol=1e-13)
             for k in range(len(names)):
@@ -534,10 +536,10 @@ class TestSolveNumeric:
         assert solver._unit_starts(32, 4) is u
 
     def test_the_layout_is_built_once_per_system(self, system):
-        solver._layout.cache_clear()
+        solver._structure.cache_clear()
         for p in (PdeParams(0.5, 1.0, 1.0, 0.6), PdeParams(-0.25, -1.5, -0.75, 0.3)):
             assert len(solve_numeric(system, p, seeds=32)) == 4
-        assert solver._layout.cache_info().misses == 1
+        assert solver._structure.cache_info().misses == 1
 
     def test_deterministic(self, system):
         p = PdeParams(0.5, 1.0, 1.0, 0.6)
